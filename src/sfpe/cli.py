@@ -179,17 +179,12 @@ def _run_batch(family, sim_cfg, workers):
 
 def cmd_predict(cfg, args):
     regime = cfg.get("analysis", "regime", required=True)
-    known = {
-        "grey": ("e_a_alpha",),
-        "kevei": ("e_x_alpha", "e_a_alpha"),
-        "affine": ("xi_plus", "mu_plus"),
-        "indep": ("e_xplus_alpha", "c_b", "e_a_alpha"),
-        "ifs": ("mu_plus", "mu_minus", "xi_plus", "xi_minus"),
-        "example": ("mu", "sigma"),
-    }
-    if regime not in known:
+    if regime not in theory.REGIMES:
         raise ConfigError(f"unknown regime {regime!r}")
-    inputs = {k: cfg.get_float("analysis", k, required=True) for k in known[regime]}
+    inputs = {
+        k: cfg.get_float("analysis", k, required=True)
+        for k in theory.REGIMES[regime].inputs
+    }
     preds = theory.predict(regime, **inputs)
     out = _out_dir(cfg, args) / "predictions.csv"
     out.write_text(theory.predictions_to_csv(preds))
@@ -203,7 +198,7 @@ def cmd_simulate(cfg, args):
     family = build_family(cfg)
     sim_cfg = build_sim_config(cfg, args.seed)
     workers = cfg.get_int("sim", "workers", default=1)
-    rng = np.random.Generator(np.random.Philox(key=[sim_cfg.seed, 2**63]))
+    rng = engine._chunk_rng(sim_cfg.seed, 2**63)
     report = elton_precheck(family, 10000, rng)
     if not report.passed:
         print(
@@ -281,22 +276,11 @@ def cmd_verify(cfg, args):
     d_plus, d_minus = _predicted_constants(cfg, family, batch, alpha)
     predicted = d_plus if side > 0 else d_minus
 
-    lines = [
-        "t,p_hat,ci_lo,ci_hi,n_exceed,ref_tail,ratio,ratio_ci_lo,ratio_ci_hi,"
-        "predicted,pass"
+    ok_flags = np.abs(curve.ratio - predicted) <= tol * predicted
+    header, *rows = tailstats.estimate_to_csv(est, curve).splitlines()
+    lines = [header + ",predicted,pass"] + [
+        f"{row},{float(predicted)!r},{int(ok)}" for row, ok in zip(rows, ok_flags)
     ]
-    ok_flags = []
-    for i in range(est.t_grid.size):
-        ok = abs(curve.ratio[i] - predicted) <= tol * predicted
-        ok_flags.append(ok)
-        row = [
-            est.t_grid[i], est.p_hat[i], est.ci_lo[i], est.ci_hi[i],
-            int(est.n_exceed[i]), curve.ref_tail[i], curve.ratio[i],
-            curve.ci_lo[i], curve.ci_hi[i], predicted, int(ok),
-        ]
-        lines.append(
-            ",".join(repr(float(v)) if not isinstance(v, int) else str(v) for v in row)
-        )
     out = _out_dir(cfg, args) / "verify.csv"
     out.write_text("\n".join(lines) + "\n")
     final = tailstats.reliable_index(est)
@@ -317,6 +301,8 @@ def cmd_dist_check(cfg, args):
         for s in cfg.get("analysis", "checks", default="uniformity,product").split(",")
     ]
     seed = args.seed if args.seed is not None else cfg.get_int("sim", "seed", default=0)
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be in [0, 2**64)")
     rng = np.random.default_rng(seed)
     lines = ["check,detail,value,pass"]
     ok = True

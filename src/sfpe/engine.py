@@ -1,18 +1,21 @@
-"""Stationary-law sampling for R_n = Psi_n(R_{n-1}).
+"""Stationary-law sampling for R_n = Psi_n(R_{n-1}), and the smoothed tail.
 
-Three methods: independent replica chains (default), truncated perpetuity
-sums (affine maps only) and a Rao-Blackwellized (smoothed) tail estimator on
-top of either.  Sampling is chunked; each chunk owns a counter-based Philox
+One sampler: independent replica chains.  The truncated perpetuity (affine
+maps only) is that chain run K steps from 0, with K from the remainder
+bound.  On top of a batch, the Rao-Blackwellized (smoothed) tail estimator
+averages the closed-form one-step tail over the samples, interpolated on one
+grid per batch.  Sampling is chunked; each chunk owns a counter-based Philox
 stream keyed by (seed, chunk_index), so results are bit-identical for any
 worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +50,6 @@ _VERSION = 1
 
 CHAIN = "chain"
 PERPETUITY = "perpetuity"
-SMOOTHED = "smoothed"
 
 
 class EngineError(RuntimeError):
@@ -67,11 +69,15 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.burn_in < 1:
             raise ValueError("burn_in must be >= 1")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         if not (0.0 < self.truncation_eps < 1.0):
             raise ValueError("truncation_eps must be in (0, 1)")
-        if self.method not in (CHAIN, PERPETUITY, SMOOTHED):
+        if self.method not in (CHAIN, PERPETUITY):
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -85,7 +91,9 @@ class SampleBatch:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), chunk_index]))
+    """Philox stream keyed by (seed, chunk_index), both in [0, 2**64)."""
+    key = np.array([seed, chunk_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _chunk_ranges(n, chunk_size):
@@ -112,33 +120,17 @@ def _chain_chunk(args):
     return chunk_index, x
 
 
-def _perpetuity_chunk(args):
-    coeff, cfg, n_terms, chunk_index, lo, hi = args
-    n = hi - lo
-    rng = _chunk_rng(cfg.seed, chunk_index)
-    acc = np.zeros(n)
-    prod = np.ones(n)
-    for k in range(n_terms):
-        a, b = draw_coeffs(coeff, n, rng)
-        acc += b * prod
-        prod *= a
-        if not np.all(np.isfinite(acc)):
-            i = int(np.argmax(~np.isfinite(acc)))
-            raise EngineError(f"non-finite partial sum in replica {lo + i} at term {k}")
-    return chunk_index, acc
-
-
-def _run_chunks(worker, jobs, n_total, workers=1):
+def _run_chunks(jobs, n_total, workers=1):
     out = np.empty(n_total)
     if workers <= 1:
-        results = map(worker, jobs)
+        results = map(_chain_chunk, jobs)
     else:
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            results = list(pool.map(worker, jobs, chunksize=1))
+            results = list(pool.map(_chain_chunk, jobs, chunksize=1))
         finally:
             pool.shutdown()
-    ranges = {j[-3]: (j[-2], j[-1]) for j in jobs}
+    ranges = {idx: (lo, hi) for _, _, idx, lo, hi in jobs}
     for chunk_index, values in results:
         lo, hi = ranges[chunk_index]
         out[lo:hi] = values
@@ -152,16 +144,15 @@ def sample_stationary_chain(family: MapFamily, cfg: SimConfig, workers: int = 1)
         (family, cfg, idx, lo, hi)
         for idx, (lo, hi) in enumerate(_chunk_ranges(cfg.n_samples, cfg.chunk_size))
     ]
-    values = _run_chunks(_chain_chunk, jobs, cfg.n_samples, workers)
+    values = _run_chunks(jobs, cfg.n_samples, workers)
     return SampleBatch(values, CHAIN, cfg.seed, cfg)
 
 
-def perpetuity_terms(coeff: CoeffLaw, eps: float) -> int:
-    """Number of terms K with remainder bound (E|A|^s)^K E|B|^s / (1-E|A|^s) < eps,
-    s = min(1, alpha-moment order that is finite); here s = 1 or the tail index."""
-    s = 1.0
-    ma = coeff.marginal_a.alpha_moment(s)
-    mb = coeff.marginal_b.alpha_moment(s)
+def perpetuity_terms(coeff: CoeffLaw, eps: float):
+    """(K, bound): the fewest terms K whose remainder bound
+    (E|A|)^K E|B| / (1 - E|A|) is below eps, and that bound."""
+    ma = coeff.marginal_a.alpha_moment(1.0)
+    mb = coeff.marginal_b.alpha_moment(1.0)
     if not (math.isfinite(ma) and ma < 1.0):
         raise EngineError(
             "perpetuity truncation bound unavailable; use chain method"
@@ -173,22 +164,16 @@ def perpetuity_terms(coeff: CoeffLaw, eps: float) -> int:
         k += 1
         if k > 100000:
             raise EngineError("perpetuity truncation bound does not contract")
-    return k
+    return k, bound
 
 
 def sample_perpetuity(coeff: CoeffLaw, cfg: SimConfig, workers: int = 1) -> SampleBatch:
     """Truncated perpetuity sums sum_{k<K} B_{k+1} prod_{j<=k} A_j for the
-    affine map; K is chosen from the Markov-inequality remainder bound."""
-    n_terms = perpetuity_terms(coeff, cfg.truncation_eps)
-    jobs = [
-        (coeff, cfg, n_terms, idx, lo, hi)
-        for idx, (lo, hi) in enumerate(_chunk_ranges(cfg.n_samples, cfg.chunk_size))
-    ]
-    values = _run_chunks(_perpetuity_chunk, jobs, cfg.n_samples, workers)
-    s = 1.0
-    ma = coeff.marginal_a.alpha_moment(s)
-    mb = coeff.marginal_b.alpha_moment(s)
-    bound = ma**n_terms * mb / (1.0 - ma)
+    affine map, sampled as the affine chain run K steps from 0, which has
+    their law; K is chosen from the Markov-inequality remainder bound."""
+    n_terms, bound = perpetuity_terms(coeff, cfg.truncation_eps)
+    chain_cfg = replace(cfg, burn_in=n_terms, x_init=0.0)
+    values = sample_stationary_chain(MapFamily(AFFINE, coeff), chain_cfg, workers).values
     return SampleBatch(
         values, PERPETUITY, cfg.seed, cfg, extra={"n_terms": n_terms, "remainder_bound": bound}
     )
@@ -205,9 +190,13 @@ _GL_NODES = 96
 _GL_PANELS = 12
 
 
+@functools.lru_cache(maxsize=None)
 def _gl01(n):
+    """n-node Gauss-Legendre rule on [0, 1]; read-only, shared by callers."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _scaled_tail(marginal: TailModel, s, u):
@@ -350,33 +339,39 @@ def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
 
 
 _SMOOTH_GRID = 8192
-_SMOOTH_DIRECT_LIMIT = 200_000
 
 
-def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t: float, side=+1):
-    """Mean over stationary samples y_i of P[Psi(y_i) > t]; unbiased for
-    P[R > t] with strictly smaller variance than the indicator estimator.
+def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t_grid, side=+1):
+    """Mean over stationary samples y_i of P[Psi(y_i) > t] at each t of
+    t_grid; unbiased for P[R > t] with strictly smaller variance than the
+    indicator estimator.
 
-    Returns (estimate, standard error).  For large batches the conditional
-    tail (a smooth monotone function of y) is evaluated on a dense grid and
+    Returns (estimates, standard errors), one per t.  Where the conditional
+    tail has a closed form (equal coefficients, constant B) it is evaluated
+    at every sample.  Otherwise it (a smooth monotone function of y) is
+    evaluated on one dense asinh-spaced grid over the batch's range and
     interpolated; the grid error is far below Monte Carlo noise.
     """
     y = np.asarray(batch.values, dtype=float)
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     exact = (kind == AFFINE and coeff.dependence == EQUAL) or isinstance(
         coeff.marginal_b, Constant
     )
-    if exact or y.size <= _SMOOTH_DIRECT_LIMIT:
-        vals = conditional_tail(coeff, kind, t, y, side=side)
-    else:
+    if not exact:
         # asinh scale covers signed, heavy-tailed sample ranges gracefully
         g = np.asinh(y)
-        glo, ghi = float(g.min()), float(g.max())
-        grid_g = np.linspace(glo, ghi, _SMOOTH_GRID)
+        grid_g = np.linspace(float(g.min()), float(g.max()), _SMOOTH_GRID)
         grid_y = np.sinh(grid_g)
-        grid_v = conditional_tail(coeff, kind, t, grid_y, side=side)
-        vals = np.interp(g, grid_g, grid_v)
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    est = np.empty(t_grid.shape)
+    se = np.empty(t_grid.shape)
+    for i, t in enumerate(t_grid):
+        if exact:
+            vals = conditional_tail(coeff, kind, float(t), y, side=side)
+        else:
+            grid_v = conditional_tail(coeff, kind, float(t), grid_y, side=side)
+            vals = np.interp(g, grid_g, grid_v)
+        est[i] = vals.mean()
+        se[i] = vals.std(ddof=1) / math.sqrt(vals.size)
     return est, se
 
 

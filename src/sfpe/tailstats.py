@@ -92,10 +92,7 @@ def smoothed_survival(batch, coeff, kind, t_grid, side=+1) -> TailEstimate:
     normal-approximation CIs from its (much smaller) standard error.
     n_exceed is the indicator-equivalent count round(p_hat * N)."""
     t = np.asarray(t_grid, dtype=float)
-    p = np.empty(t.shape)
-    se = np.empty(t.shape)
-    for i, ti in enumerate(t):
-        p[i], se[i] = smoothed_tail(batch, coeff, kind, float(ti), side=side)
+    p, se = smoothed_tail(batch, coeff, kind, t, side=side)
     lo = np.clip(p - _Z95 * se, 0.0, 1.0)
     hi = np.clip(p + _Z95 * se, 0.0, 1.0)
     n = batch.values.size

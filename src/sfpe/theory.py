@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "indep_constant",
     "ifs_constants",
     "example_constants",
+    "REGIMES",
     "predict",
     "salpha_check_dom",
     "salpha_check_convex",
@@ -140,38 +142,44 @@ def example_constants(mu: float, sigma: float):
     return d1, d2
 
 
-_REGIMES = {
-    "grey": (grey_constant, ("e_a_alpha",), "B"),
-    "kevei": (kevei_constant, ("e_x_alpha", "e_a_alpha"), "A"),
-    "affine": (affine_constant, ("xi_plus", "mu_plus"), "A"),
-    "indep": (indep_constant, ("e_xplus_alpha", "c_b", "e_a_alpha"), "A"),
+class Regime(NamedTuple):
+    constants: Callable  # inputs -> one constant, or a tuple of them
+    inputs: tuple  # names of the inputs, in call order
+    reference: str  # "A" or "B", see Prediction
+    labels: tuple | None = None  # one row label per constant, if a tuple
+
+
+REGIMES = {
+    "grey": Regime(grey_constant, ("e_a_alpha",), "B"),
+    "kevei": Regime(kevei_constant, ("e_x_alpha", "e_a_alpha"), "A"),
+    "affine": Regime(affine_constant, ("xi_plus", "mu_plus"), "A"),
+    "indep": Regime(indep_constant, ("e_xplus_alpha", "c_b", "e_a_alpha"), "A"),
+    "ifs": Regime(
+        ifs_constants, ("mu_plus", "mu_minus", "xi_plus", "xi_minus"), "A",
+        ("ifs_right", "ifs_left"),
+    ),
+    "example": Regime(
+        example_constants, ("mu", "sigma"), "A", ("example_d1", "example_d2")
+    ),
 }
 
 
 def predict(regime: str, **inputs):
-    """Build Prediction rows for a named regime; `ifs` and `example` yield
-    two rows (right/left tails resp. the two dependence structures)."""
-    if regime in _REGIMES:
-        fn, keys, ref = _REGIMES[regime]
-        args = [inputs[k] for k in keys]
-        return [Prediction(regime, fn(*args), ref, dict(zip(keys, args)))]
-    if regime == "ifs":
-        keys = ("mu_plus", "mu_minus", "xi_plus", "xi_minus")
-        args = [inputs[k] for k in keys]
-        dp, dm = ifs_constants(*args)
-        inp = dict(zip(keys, args))
-        return [
-            Prediction("ifs_right", dp, "A", inp),
-            Prediction("ifs_left", dm, "A", inp),
-        ]
-    if regime == "example":
-        d1, d2 = example_constants(inputs["mu"], inputs["sigma"])
-        inp = {"mu": inputs["mu"], "sigma": inputs["sigma"]}
-        return [
-            Prediction("example_d1", d1, "A", inp),
-            Prediction("example_d2", d2, "A", inp),
-        ]
-    raise ValueError(f"unknown regime {regime!r}")
+    """Build Prediction rows for a named regime of REGIMES; `ifs` and
+    `example` yield two rows (right/left tails resp. the two dependence
+    structures)."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    spec = REGIMES[regime]
+    args = [inputs[k] for k in spec.inputs]
+    inp = dict(zip(spec.inputs, args))
+    value = spec.constants(*args)
+    if spec.labels is None:
+        return [Prediction(regime, value, spec.reference, inp)]
+    return [
+        Prediction(label, v, spec.reference, inp)
+        for label, v in zip(spec.labels, value)
+    ]
 
 
 # --- exponential-tilt class checks -----------------------------------------

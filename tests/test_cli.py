@@ -66,6 +66,12 @@ class TestConfig:
     def test_bad_value_is_config_error(self, config_file, capsys):
         path = config_file(BASE_CONFIG.replace("n_samples = 50000", "n_samples = many"))
         assert main(["simulate", "--config", path]) == EXIT_CONFIG
+        for bad in ("chunk_size = 0", "method = smoothed"):
+            path = config_file(BASE_CONFIG.replace("method = chain", bad))
+            assert main(["simulate", "--config", path]) == EXIT_CONFIG
+        path = config_file()
+        for command in ("simulate", "dist-check"):
+            assert main([command, "--config", path, "--seed", "-1"]) == EXIT_CONFIG
 
 
 class TestPredict:

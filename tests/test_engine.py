@@ -1,4 +1,6 @@
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -44,6 +46,22 @@ class TestSimConfig:
             SimConfig(n_samples=10, seed=1, truncation_eps=2.0)
         with pytest.raises(ValueError):
             SimConfig(n_samples=10, seed=1, method="mcmc")
+        with pytest.raises(ValueError):
+            SimConfig(n_samples=10, seed=1, method="smoothed")
+        with pytest.raises(ValueError):
+            SimConfig(n_samples=10, seed=1, chunk_size=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError):
+                SimConfig(n_samples=10, seed=seed)
+
+    def test_seeds_give_distinct_streams(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [
+                engine._chunk_rng(seed, 0).random()
+                for seed in (0, 1, 2**63, 2**64 - 1)
+            ]
+        assert len(set(draws)) == 4
 
 
 class TestChain:
@@ -104,7 +122,7 @@ class TestChain:
 class TestPerpetuity:
     def test_geometric_series(self):
         coeff = CoeffLaw(Constant(0.5), Constant(1.0), INDEPENDENT)
-        n_terms = engine.perpetuity_terms(coeff, 1e-3)
+        n_terms, _ = engine.perpetuity_terms(coeff, 1e-3)
         batch = sample_perpetuity(coeff, SimConfig(n_samples=20, seed=1))
         expected = 2.0 * (1.0 - 0.5**n_terms)
         assert np.all(batch.values == expected)
@@ -119,6 +137,18 @@ class TestPerpetuity:
         batch = sample_perpetuity(INDEP, SimConfig(n_samples=100, seed=1))
         assert batch.extra["remainder_bound"] < 1e-3
         assert batch.extra["n_terms"] >= 1
+
+    def test_is_chain_run_n_terms_from_zero(self):
+        cfg = SimConfig(n_samples=1000, seed=12, chunk_size=300, x_init=2.0)
+        perp = sample_perpetuity(SIGNED_COEFF, cfg)
+        n_terms, _ = engine.perpetuity_terms(SIGNED_COEFF, cfg.truncation_eps)
+        chain = sample_stationary_chain(
+            MapFamily(AFFINE, SIGNED_COEFF),
+            SimConfig(n_samples=1000, seed=12, chunk_size=300, burn_in=n_terms),
+        )
+        assert perp.values.tobytes() == chain.values.tobytes()
+        assert perp.method == "perpetuity"
+        assert perp.extra["n_terms"] == n_terms
 
     def test_contraction_required(self):
         coeff = CoeffLaw(Constant(1.5), Constant(1.0), INDEPENDENT)
@@ -263,20 +293,34 @@ class TestSmoothedTail:
             INDEP_FAMILY, SimConfig(n_samples=300_000, seed=41)
         )
         n = batch.values.size
-        for t in np.quantile(batch.values, [0.9, 0.99, 0.999]):
-            sm, sm_se = smoothed_tail(batch, INDEP, AFFINE, float(t))
+        ts = np.quantile(batch.values, [0.9, 0.99, 0.999])
+        ests, ses = smoothed_tail(batch, INDEP, AFFINE, ts)
+        for t, sm, sm_se in zip(ts, ests, ses):
             raw = np.mean(batch.values > t)
             raw_se = math.sqrt(raw * (1 - raw) / n)
             assert abs(sm - raw) <= 3 * math.hypot(sm_se, raw_se)
             assert sm_se < raw_se
 
-    def test_interpolation_matches_direct(self):
-        batch = sample_stationary_chain(
-            INDEP_FAMILY, SimConfig(n_samples=300_000, seed=43)
-        )
-        est, _ = smoothed_tail(batch, INDEP, AFFINE, 8.0)
-        direct = conditional_tail(INDEP, AFFINE, 8.0, batch.values).mean()
-        assert est == pytest.approx(direct, rel=1e-4)
+    @pytest.mark.parametrize("n", [50_000, 300_000])
+    @pytest.mark.parametrize("coeff,side,t", [
+        (INDEP, +1, 8.0), (SIGNED_COEFF, +1, 8.0), (SIGNED_COEFF, -1, 4.0),
+    ], ids=["independent", "signed-right", "signed-left"])
+    def test_interpolation_matches_direct(self, coeff, side, t, n):
+        # the grid estimate against the mean of the conditional tail at
+        # every sample, in slices to bound memory
+        batch = _chain_batch(coeff, n)
+        (est,), _ = smoothed_tail(batch, coeff, AFFINE, [t], side=side)
+        y = batch.values
+        direct = sum(
+            conditional_tail(coeff, AFFINE, t, y[i:i + 50_000], side=side).sum()
+            for i in range(0, y.size, 50_000)
+        ) / y.size
+        assert est == pytest.approx(direct, rel=1e-5)
+
+
+@lru_cache(maxsize=None)
+def _chain_batch(coeff, n):
+    return sample_stationary_chain(MapFamily(AFFINE, coeff), SimConfig(n_samples=n, seed=43))
 
 
 class TestPersistence:

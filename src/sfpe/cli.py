@@ -31,6 +31,7 @@ from .maps import (
     SIGNED,
     CoeffLaw,
     MapFamily,
+    NoClosedFormError,
     elton_precheck,
     f_minus,
     f_plus,
@@ -149,13 +150,27 @@ def build_sim_config(cfg: ExperimentConfig, seed_override=None) -> engine.SimCon
         raise ConfigError(str(exc)) from None
 
 
-def _grid_for(cfg: ExperimentConfig, batch):
+def _parse_side(cfg: ExperimentConfig):
+    """[analysis] side: +1 for the right tail P[X > t], -1 for the left tail
+    P[X < -t]."""
+    side = cfg.get("analysis", "side", default="right").strip()
+    if side not in ("right", "left"):
+        raise ConfigError(f"[analysis] side must be right or left, not {side!r}")
+    return +1 if side == "right" else -1
+
+
+def _grid_for(cfg: ExperimentConfig, batch, side):
     rule = cfg.get("analysis", "t_grid", default="quantile(lo=0.99, hi_exceed=300, points=20)")
     m = _GRID_RE.match(rule.strip())
     if m:
-        return tailstats.default_grid(
-            batch, float(m.group(1)), int(m.group(2)), int(m.group(3))
-        )
+        try:
+            return tailstats.default_grid(
+                batch, float(m.group(1)), int(m.group(2)), int(m.group(3)), side=side
+            )
+        except ValueError as exc:
+            raise theory.PreconditionError(
+                f"no usable tail on this side of the batch: {exc}"
+            ) from None
     try:
         return np.array([float(x) for x in rule.split(",")])
     except ValueError:
@@ -214,38 +229,27 @@ def cmd_simulate(cfg, args):
     return EXIT_OK
 
 
-def _estimate_curves(cfg, args, family, sim_cfg):
+def _estimate_curves(cfg, family, sim_cfg, side):
+    """Smoothed survival of the requested tail on the configured grid, or
+    the empirical one where the family has no closed-form conditional tail;
+    and its ratio curve against P[A > t]."""
     workers = cfg.get_int("sim", "workers", default=1)
     batch = _run_batch(family, sim_cfg, workers)
-    grid = _grid_for(cfg, batch)
-    estimator = cfg.get("analysis", "estimator", default="smoothed")
-    side = +1 if cfg.get("analysis", "side", default="right") == "right" else -1
-    if estimator == "smoothed":
-        try:
-            est = tailstats.smoothed_survival(
-                batch, family.coeff, family.kind, grid, side=side
-            )
-        except engine.SmoothingUnavailable:
-            est = ecdf_side(batch, grid, side)
-    else:
-        est = ecdf_side(batch, grid, side)
+    grid = _grid_for(cfg, batch, side)
+    try:
+        est = tailstats.smoothed_survival(
+            batch, family.coeff, family.kind, grid, side=side
+        )
+    except NoClosedFormError:
+        est = tailstats.ecdf_survival(batch, grid, side=side)
     curve = tailstats.ratio_curve(est, family.coeff.a_tail)
     return batch, est, curve
-
-
-def ecdf_side(batch, grid, side):
-    if side > 0:
-        return tailstats.ecdf_survival(batch, grid)
-    flipped = engine.SampleBatch(
-        -batch.values, batch.method, batch.seed, batch.config
-    )
-    return tailstats.ecdf_survival(flipped, grid)
 
 
 def cmd_estimate(cfg, args):
     family = build_family(cfg)
     sim_cfg = build_sim_config(cfg, args.seed)
-    _, est, curve = _estimate_curves(cfg, args, family, sim_cfg)
+    _, est, curve = _estimate_curves(cfg, family, sim_cfg, _parse_side(cfg))
     out = _out_dir(cfg, args) / "estimate.csv"
     out.write_text(tailstats.estimate_to_csv(est, curve))
     print(f"wrote {out}")
@@ -271,10 +275,16 @@ def cmd_verify(cfg, args):
     sim_cfg = build_sim_config(cfg, args.seed)
     alpha = cfg.get_float("analysis", "alpha", required=True)
     tol = cfg.get_float("analysis", "tolerance", default=0.25)
-    side = +1 if cfg.get("analysis", "side", default="right") == "right" else -1
-    batch, est, curve = _estimate_curves(cfg, args, family, sim_cfg)
+    side = _parse_side(cfg)
+    batch, est, curve = _estimate_curves(cfg, family, sim_cfg, side)
     d_plus, d_minus = _predicted_constants(cfg, family, batch, alpha)
     predicted = d_plus if side > 0 else d_minus
+    try:
+        final = tailstats.reliable_index(est)
+    except ValueError as exc:
+        raise theory.PreconditionError(
+            f"no usable tail on this side of the batch: {exc}"
+        ) from None
 
     ok_flags = np.abs(curve.ratio - predicted) <= tol * predicted
     header, *rows = tailstats.estimate_to_csv(est, curve).splitlines()
@@ -283,7 +293,6 @@ def cmd_verify(cfg, args):
     ]
     out = _out_dir(cfg, args) / "verify.csv"
     out.write_text("\n".join(lines) + "\n")
-    final = tailstats.reliable_index(est)
     print(
         f"predicted {predicted!r}; ratio at final reliable t={est.t_grid[final]:.4g}: "
         f"{curve.ratio[final]:.6g} "
@@ -372,7 +381,7 @@ def main(argv=None) -> int:
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except theory.PreconditionError as exc:
+    except (theory.PreconditionError, NoClosedFormError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ArithmeticError, engine.EngineError) as exc:

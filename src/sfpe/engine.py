@@ -29,6 +29,7 @@ from .maps import (
     SIGNED,
     CoeffLaw,
     MapFamily,
+    NoClosedFormError,
     apply_map,
     draw_coeffs,
 )
@@ -106,11 +107,7 @@ def _chain_chunk(args):
     rng = _chunk_rng(cfg.seed, chunk_index)
     x = np.full(n, cfg.x_init, dtype=float)
     for step in range(cfg.burn_in):
-        a, b = draw_coeffs(family.coeff, n, rng)
-        if family.kind == "sqrt_log":
-            c = family.marginal_c.sample(n, rng)
-        else:
-            c = 0.0
+        a, b, c = draw_coeffs(family, n, rng)
         x = apply_map(family.kind, a, b, c, x)
         if not np.all(np.isfinite(x)):
             i = int(np.argmax(~np.isfinite(x)))
@@ -181,11 +178,6 @@ def sample_perpetuity(coeff: CoeffLaw, cfg: SimConfig, workers: int = 1) -> Samp
 
 # --- smoothed (Rao-Blackwellized) tail estimation --------------------------
 
-class SmoothingUnavailable(ValueError):
-    """No closed-form conditional tail for this (kind, dependence); fall back
-    to the empirical survival function."""
-
-
 _GL_NODES = 96
 _GL_PANELS = 12
 
@@ -222,10 +214,12 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
     Gauss-Legendre nodes, after splitting off the regions where the
     W-conditional probability is exactly 0 or 1 (missing the exact-one region
     near v = 0 silently drops the "B alone exceeds t" mass, which dominates
-    deep in the tail).  For s > 0 the integrand falls from 1 at v = u_star
-    to near 0 within a layer that can be much thinner than u_star, so the
-    same node budget is spent on panels that widen geometrically away from
-    u_star instead of on one rule over [u_star, 1].
+    deep in the tail).  What is left is an interval with one end where the
+    integrand changes fast: the edge u_star of the exact-0/1 region, across
+    which it moves between 0 and 1 within a layer that can be much thinner
+    than the interval, or v = 0, near which it behaves like v times powers
+    of log v.  The node budget is spent on panels that widen geometrically
+    away from that end instead of on one rule over the interval.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if isinstance(bm, Constant):
@@ -233,28 +227,23 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
     x0w = wm.support_low
     out = np.zeros(s.shape)
 
-    def _gl_panels(edges, h):
-        # integral of h over v from edges[:, 0] to edges[:, -1], per element,
-        # with the _GL_NODES Gauss-Legendre nodes spread evenly over panels
-        n = edges.shape[0]
-        g, gw = _gl01(_GL_NODES // (edges.shape[1] - 1))
-        width = np.diff(edges, axis=1)
-        v = (edges[:, :-1, None] + width[:, :, None] * g).reshape(n, -1)
-        b = bm.quantile(np.clip(v, 1e-300, 1.0))
-        return np.sum(h(b) * (width[:, :, None] * gw).reshape(n, -1), axis=1)
-
-    def _gl_between(lo, hi, h):
-        return _gl_panels(np.stack([lo, hi], axis=1), h)
-
-    def _gl_graded(lo, first, h):
-        # over v in (lo, 1): _GL_PANELS panels, the first of width `first`,
-        # the rest growing geometrically up to v = 1
-        span = 1.0 - lo
-        ratio = np.clip(first / np.where(span > 0.0, span, 1.0), 1e-300, 1.0)
+    def _gl_graded(start, end, first, h):
+        # integral of h over v between start and end (either way round), per
+        # element: _GL_PANELS panels, the first (at start) of width `first`,
+        # the rest widening geometrically up to end
+        span = end - start
+        size = np.abs(span)
+        ratio = np.clip(first / np.where(size > 0.0, size, 1.0), 1e-300, 1.0)
         k = np.arange(_GL_PANELS)
         offsets = ratio[:, None] ** ((_GL_PANELS - 1 - k) / (_GL_PANELS - 1))
-        rel = np.concatenate([np.zeros((lo.size, 1)), offsets], axis=1)
-        return _gl_panels(lo[:, None] + span[:, None] * rel, h)
+        rel = np.concatenate([np.zeros((start.size, 1)), offsets], axis=1)
+        edges = start[:, None] + span[:, None] * rel
+        g, gw = _gl01(_GL_NODES // _GL_PANELS)
+        width = np.diff(edges, axis=1)
+        v = (edges[:, :-1, None] + width[:, :, None] * g).reshape(start.size, -1)
+        b = bm.quantile(np.clip(v, 1e-300, 1.0))
+        weights = (np.abs(width)[:, :, None] * gw).reshape(start.size, -1)
+        return np.sum(h(b) * weights, axis=1)
 
     pos = s > 0
     neg = s < 0
@@ -271,28 +260,32 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
             u_ramp = np.asarray(bm.survival(t - 2.0 * sp * x0w), dtype=float)
             vals = _gl_graded(
                 u_star,
+                1.0,
                 np.minimum(u_ramp - u_star, u_star),
                 lambda b: wm.survival((t - b) / sp[:, None]),
             )
             out[pos] = u_star + vals
         if np.any(neg):
             sn = -s[neg]
-            # nonzero only for b > t + |s|*x0w, i.e. v < u_star
+            # nonzero only for b > t + |s|*x0w, i.e. v < u_star; by v = u_ramp
+            # (b = t + 2 |s| x0w) it is up to 1 - S_W(2 x0w).  Mirrors s > 0
             u_star = np.asarray(bm.survival(t + sn * x0w), dtype=float)
-            vals = _gl_between(
-                np.zeros_like(u_star),
+            u_ramp = np.asarray(bm.survival(t + 2.0 * sn * x0w), dtype=float)
+            out[neg] = _gl_graded(
                 u_star,
+                0.0,
+                np.minimum(u_star - u_ramp, u_star),
                 lambda b: 1.0 - wm.survival((b - t) / sn[:, None]),
             )
-            out[neg] = vals
     else:
         # P[s W - B > t]: needs s > 0 and then b < s*x0w - t can make it certain
         if np.any(pos):
             sp = s[pos]
             v_bar = np.asarray(bm.survival(sp * x0w - t), dtype=float)
-            vals = _gl_between(
+            vals = _gl_graded(
                 np.zeros_like(v_bar),
                 v_bar,
+                1e-6 * v_bar,
                 lambda b: wm.survival((t + b) / sp[:, None]),
             )
             out[pos] = (1.0 - v_bar) + vals
@@ -311,7 +304,8 @@ def _indep_affine_tail(coeff: CoeffLaw, t: float, y, sign_a=1.0, side=+1):
 
 def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
     """Exact P[Psi(y) > t] (side=+1) or P[Psi(y) < -t] (side=-1) given the
-    previous state y, for the closed-form combinations."""
+    previous state y, for the closed-form combinations; NoClosedFormError
+    for the others."""
     y = np.asarray(y, dtype=float)
     dep = coeff.dependence
     if kind == AFFINE and dep == EQUAL:
@@ -333,7 +327,7 @@ def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
         sa = _scaled_tail(coeff.marginal_a, y, t)
         sb = float(coeff.marginal_b.survival(t))
         return sa + sb - sa * sb
-    raise SmoothingUnavailable(
+    raise NoClosedFormError(
         f"no closed-form conditional tail for ({kind}, {dep})"
     )
 

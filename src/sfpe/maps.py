@@ -1,11 +1,11 @@
 """Random Lipschitz map families and their coefficient laws.
 
 A map family fixes a functional form (affine, max-affine, positive-part
-affine, sqrt-log) together with the joint law of its coefficients.  Every
-family decomposes as x -> A x + Phi(x) with |Phi(x)| <= envelope * phi(|x|),
-which is what the tail machinery in `theory` consumes.  Closed-form one-step
-tail functionals f+ / f- are provided for the dependence structures that
-admit them.
+affine, sqrt-log) together with the joint law of its coefficients.
+`draw_coeffs` draws the coefficients of n maps and `apply_map` applies them;
+the sampler and the stability precheck both go through this pair.
+Closed-form one-step tail functionals f+ / f- are provided for the dependence
+structures that admit them.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ from .dist import TailModel
 __all__ = [
     "CoeffLaw",
     "MapFamily",
-    "RealizedMap",
     "NoClosedFormError",
+    "apply_map",
     "draw_coeffs",
-    "draw_map",
     "f_plus",
     "f_minus",
-    "f_bound_check",
     "elton_precheck",
 ]
 
@@ -114,39 +112,6 @@ def _sqrtlog(x):
     return np.sqrt(np.maximum(x, 0.0)) * np.log(np.maximum(x, 1.0))
 
 
-@dataclass(frozen=True)
-class RealizedMap:
-    """A drawn map together with its coefficients (exposed for smoothing)."""
-
-    kind: str
-    a: float
-    b: float
-    c: float = 0.0
-    b_lower: float = 0.0
-
-    def __call__(self, x):
-        return apply_map(self.kind, self.a, self.b, self.c, x)
-
-    @property
-    def lipschitz(self):
-        if self.kind == SQRT_LOG:
-            # Lip(sqrt(x+) log+ x) = 1, attained at x = 1
-            return abs(self.a) + abs(self.b)
-        return abs(self.a)
-
-    def envelope(self):
-        """(coefficient, phi) with |Psi(x) - A x| <= coefficient * phi(|x|)."""
-        if self.kind == AFFINE:
-            return abs(self.b), lambda x: np.ones_like(np.asarray(x, float))
-        if self.kind == MAX_AFFINE:
-            return self.b, lambda x: np.ones_like(np.asarray(x, float))
-        if self.kind == POS_PART_AFFINE:
-            return self.a * self.b_lower + self.b, lambda x: np.ones_like(
-                np.asarray(x, float)
-            )
-        return self.b + self.c, lambda x: _sqrtlog(np.abs(x)) + 1.0
-
-
 def apply_map(kind, a, b, c, x):
     x = np.asarray(x, dtype=float)
     if kind == AFFINE:
@@ -160,28 +125,25 @@ def apply_map(kind, a, b, c, x):
     raise ValueError(f"unknown map kind {kind!r}")
 
 
-def draw_coeffs(coeff: CoeffLaw, n: int, rng: np.random.Generator):
-    """Draw n (A, B) pairs; the draw order per pair is fixed so that streams
-    are reproducible independently of chunking."""
+def draw_coeffs(family: MapFamily, n: int, rng: np.random.Generator):
+    """Draw the coefficients (A, B, C) of n maps of the family.  C is the
+    sqrt-log coefficient, drawn after (A, B), and 0.0 for the other kinds.
+    The draw order is fixed so that streams are reproducible independently
+    of chunking."""
+    coeff = family.coeff
     if coeff.dependence == EQUAL:
         a = coeff.marginal_a.sample(n, rng)
-        return a, a
-    if coeff.dependence == INDEPENDENT:
+        b = a
+    elif coeff.dependence == INDEPENDENT:
         a = coeff.marginal_a.sample(n, rng)
         b = coeff.marginal_b.sample(n, rng)
-        return a, b
-    w = coeff.marginal_a.sample(n, rng)
-    sign = np.where(rng.random(n) < coeff.p_plus, 1.0, -1.0)
-    b = coeff.marginal_b.sample(n, rng)
-    return sign * w, b
-
-
-def draw_map(family: MapFamily, rng: np.random.Generator) -> RealizedMap:
-    a, b = (float(v[0]) for v in draw_coeffs(family.coeff, 1, rng))
-    c = 0.0
-    if family.kind == SQRT_LOG:
-        c = float(family.marginal_c.sample(1, rng)[0])
-    return RealizedMap(family.kind, a, b, c, b_lower=family.b_lower)
+    else:
+        w = coeff.marginal_a.sample(n, rng)
+        sign = np.where(rng.random(n) < coeff.p_plus, 1.0, -1.0)
+        b = coeff.marginal_b.sample(n, rng)
+        a = sign * w
+    c = family.marginal_c.sample(n, rng) if family.kind == SQRT_LOG else 0.0
+    return a, b, c
 
 
 # --- closed-form one-step tail functionals --------------------------------
@@ -246,32 +208,6 @@ def f_minus(family: MapFamily, y, alpha: float):
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    ok: bool
-    max_slack: float
-    worst_y: float
-
-
-def f_bound_check(family: MapFamily, alpha: float, y_grid) -> BoundReport:
-    """Check f+(y) <= 2^alpha (y+^alpha + f+(0)) and the mirrored bound for
-    f-; valid for positive A only."""
-    if family.coeff.dependence == SIGNED:
-        raise ValueError("f bound is derived for positive A; not valid for signed A")
-    y = np.asarray(y_grid, dtype=float)
-    fp = f_plus(family, y, alpha)
-    fp0 = float(f_plus(family, 0.0, alpha))
-    bound_p = 2.0**alpha * (_pow_plus(y, alpha) + fp0)
-    fm = f_minus(family, y, alpha)
-    fm0 = float(f_minus(family, 0.0, alpha))
-    bound_m = 2.0**alpha * (_pow_minus(y, alpha) + fm0)
-    slack_p = fp - bound_p
-    slack_m = fm - bound_m
-    slack = np.maximum(slack_p, slack_m)
-    i = int(np.argmax(slack))
-    return BoundReport(ok=bool(np.all(slack <= 0.0)), max_slack=float(slack[i]), worst_y=float(y[i]))
-
-
 # --- Elton preconditions ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -298,12 +234,7 @@ def elton_precheck(family: MapFamily, n_mc: int, rng: np.random.Generator) -> El
     moment at x0 = 0."""
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
-    a, b = draw_coeffs(family.coeff, n_mc, rng)
-    c = (
-        family.marginal_c.sample(n_mc, rng)
-        if family.kind == SQRT_LOG
-        else np.zeros(n_mc)
-    )
+    a, b, c = draw_coeffs(family, n_mc, rng)
     if family.kind == SQRT_LOG:
         lip = np.abs(a) + np.abs(b)
     else:

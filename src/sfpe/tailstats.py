@@ -65,23 +65,29 @@ def wilson_interval(k, n, z=_Z95):
     return lo, hi
 
 
-def _values(batch):
+def _values(batch, side=+1):
+    """The batch's values, negated for the left tail (side = -1), so that
+    P[X < -t] is the right tail of what is returned."""
     v = batch.values if isinstance(batch, SampleBatch) else np.asarray(batch, float)
     if v.size == 0:
         raise ValueError("empty batch")
-    return v
+    return v if side > 0 else -v
 
 
-def ecdf_survival(batch, t_grid) -> TailEstimate:
-    """p_hat(t) = #{x_i > t} / N with 95% Wilson intervals; one pass over
-    sorted data."""
-    values = _values(batch)
+def _exceedances(values, t):
+    """#{x_i > t} for each t, and the sample size; one sort."""
+    srt = np.sort(values)
+    return srt.size - np.searchsorted(srt, t, side="right"), srt.size
+
+
+def ecdf_survival(batch, t_grid, side=+1) -> TailEstimate:
+    """p_hat(t) = #{x_i > t} / N (side = +1) or #{x_i < -t} / N (side = -1)
+    with 95% Wilson intervals; one pass over sorted data."""
+    values = _values(batch, side)
     t = np.asarray(t_grid, dtype=float)
     if t.size > 1 and not np.all(np.diff(t) > 0):
         raise ValueError("t_grid must be strictly increasing")
-    srt = np.sort(values)
-    n = srt.size
-    n_exceed = n - np.searchsorted(srt, t, side="right")
+    n_exceed, n = _exceedances(values, t)
     p_hat = n_exceed / n
     lo, hi = wilson_interval(n_exceed, n)
     return TailEstimate(t, p_hat, lo, hi, n_exceed, n)
@@ -90,13 +96,14 @@ def ecdf_survival(batch, t_grid) -> TailEstimate:
 def smoothed_survival(batch, coeff, kind, t_grid, side=+1) -> TailEstimate:
     """Like ecdf_survival but each point is the smoothed one-step estimator;
     normal-approximation CIs from its (much smaller) standard error.
-    n_exceed is the indicator-equivalent count round(p_hat * N)."""
+    n_exceed is the empirical exceedance count, as in ecdf_survival, so that
+    which points are reliable does not depend on smoothing noise."""
     t = np.asarray(t_grid, dtype=float)
     p, se = smoothed_tail(batch, coeff, kind, t, side=side)
     lo = np.clip(p - _Z95 * se, 0.0, 1.0)
     hi = np.clip(p + _Z95 * se, 0.0, 1.0)
-    n = batch.values.size
-    return TailEstimate(t, p, lo, hi, np.rint(p * n).astype(int), n)
+    n_exceed, n = _exceedances(_values(batch, side), t)
+    return TailEstimate(t, p, lo, hi, n_exceed, n)
 
 
 def ratio_curve(est: TailEstimate, ref) -> RatioCurve:
@@ -133,8 +140,9 @@ def hill(batch, k: int) -> float:
 def plugin_moment(batch, g):
     """Sample mean of g(x_i) with jackknife standard error.
 
-    g is a callable (vectorized); see pow_plus/pow_minus and the closed-form
-    one-step functionals in `maps` for the usual choices."""
+    g is a vectorized callable, e.g. `lambda y: np.maximum(y, 0.0) ** alpha`
+    or a closed-form one-step functional `maps.f_plus` / `maps.f_minus` at
+    fixed (family, alpha)."""
     values = _values(batch)
     gx = np.asarray(g(values), dtype=float)
     if not np.all(np.isfinite(gx)):
@@ -150,19 +158,10 @@ def plugin_moment(batch, g):
     return mean, se
 
 
-def pow_plus(alpha):
-    return lambda x: np.maximum(np.asarray(x, float), 0.0) ** alpha
-
-
-def pow_minus(alpha):
-    return lambda x: np.maximum(-np.asarray(x, float), 0.0) ** alpha
-
-
-def default_grid(batch, lo_quantile=0.99, hi_exceed=RELIABLE_EXCEED, points=20):
+def default_grid(batch, lo_quantile=0.99, hi_exceed=RELIABLE_EXCEED, points=20, side=+1):
     """Geometric grid from the empirical lo-quantile to the point where
-    hi_exceed samples remain above."""
-    values = _values(batch)
-    srt = np.sort(values)
+    hi_exceed samples remain above, of X (side = +1) or of -X (side = -1)."""
+    srt = np.sort(_values(batch, side))
     n = srt.size
     lo = float(srt[min(int(lo_quantile * n), n - 1)])
     hi = float(srt[max(n - hi_exceed - 1, 0)])

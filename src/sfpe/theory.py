@@ -331,22 +331,29 @@ def salpha_check_convex(log_tail, alpha: float, gamma: float) -> ConvexReport:
 
 # --- convolution diagnostics ------------------------------------------------
 
-def convolution_tail(g1, g2, t: float, n_grid: int = 400_000) -> float:
-    """P[X + Y > t] for independent X ~ g1, Y ~ g2 by Stieltjes quadrature.
+def _stieltjes(model, lo, hi, g, n_grid):
+    """(S(hi), sum_k (S(y_k) - S(y_{k+1})) g(mid_k)) on n_grid equal cells
+    y_0 = lo < ... < y_n = hi, with S the survival function of model: the
+    Stieltjes sum for int_lo^hi g dF.
 
     Weights are survival-function differences (never CDF differences: when
     S < 1e-16 the CDF rounds to 1.0 and the tail mass vanishes from the
     quadrature, which visibly corrupts the ratio targets here)."""
+    y = np.linspace(lo, hi, n_grid + 1)
+    s = np.asarray(model.survival(y), dtype=float)
+    mid = 0.5 * (y[:-1] + y[1:])
+    return s[-1], np.dot(s[:-1] - s[1:], np.asarray(g(mid), dtype=float))
+
+
+def convolution_tail(g1, g2, t: float, n_grid: int = 400_000) -> float:
+    """P[X + Y > t] for independent X ~ g1, Y ~ g2 by Stieltjes quadrature
+    over X."""
     low1, low2 = g1.support_low, g2.support_low
     hi = t - low2
     if hi <= low1:
         return 1.0
-    x = np.linspace(low1, hi, n_grid + 1)
-    s1 = np.asarray(g1.survival(x), dtype=float)
-    w = s1[:-1] - s1[1:]
-    mid = 0.5 * (x[:-1] + x[1:])
-    s2 = np.asarray(g2.survival(t - mid), dtype=float)
-    return float(s1[-1] + np.dot(w, s2))
+    s_hi, total = _stieltjes(g1, low1, hi, lambda x: g2.survival(t - x), n_grid)
+    return float(s_hi + total)
 
 
 @dataclass(frozen=True)
@@ -405,12 +412,10 @@ def appendix_smallint_diagnostic(f_model, alpha: float, v_list, x_list, n_grid=2
             hi = x - v
             if hi <= lo:
                 continue
-            y = np.linspace(lo, hi, n_grid + 1)
-            s = np.asarray(f_model.survival(y), dtype=float)
-            w = s[:-1] - s[1:]
-            mid = 0.5 * (y[:-1] + y[1:])
-            sx = float(f_model.survival(x))
-            out[i, j] = float(np.dot(w, f_model.survival(x - mid)) / sx)
+            _, total = _stieltjes(
+                f_model, lo, hi, lambda y: f_model.survival(x - y), n_grid
+            )
+            out[i, j] = float(total / float(f_model.survival(x)))
     if x_list.size >= 2:
         stabilized = bool(
             np.all(

@@ -72,6 +72,9 @@ class TestConfig:
         path = config_file()
         for command in ("simulate", "dist-check"):
             assert main([command, "--config", path, "--seed", "-1"]) == EXIT_CONFIG
+        path = config_file(BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = rght"))
+        for command in ("estimate", "verify"):
+            assert main([command, "--config", path]) == EXIT_CONFIG
 
 
 class TestPredict:
@@ -162,6 +165,26 @@ class TestVerify:
         assert rows[0].endswith(",predicted,pass")
         assert code in (EXIT_OK, EXIT_ASSERTION)
         assert len(rows) == 21
+
+
+    def test_signed_left_tail(self, config_file, tmp_path):
+        text = BASE_CONFIG.replace(
+            "dependence = independent", "dependence = signed(p_plus=0.75)"
+        ).replace("sigma = 0.45", "sigma = 0.45\nside = left")
+        code = main(["verify", "--config", config_file(text)])
+        assert code in (EXIT_OK, EXIT_ASSERTION)
+        rows = (tmp_path / "out" / "verify.csv").read_text().strip().split("\n")
+        assert len(rows) == 21
+
+    def test_no_left_tail_is_precondition(self, config_file):
+        text = BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = left")
+        assert main(["verify", "--config", config_file(text)]) == EXIT_PRECONDITION
+
+    def test_no_closed_form_is_precondition(self, config_file):
+        text = BASE_CONFIG.replace("kind = affine", "kind = max_affine").replace(
+            "dependence = independent", "dependence = equal"
+        )
+        assert main(["verify", "--config", config_file(text)]) == EXIT_PRECONDITION
 
 
 class TestDistCheck:

@@ -110,8 +110,8 @@ class TestChain:
             INDEP_FAMILY, SimConfig(n_samples=200_000, seed=8)
         )
         rng = np.random.default_rng(123)
-        a, b = draw_coeffs(INDEP, batch.values.size, rng)
-        moved = apply_map(AFFINE, a, b, 0.0, batch.values)
+        a, b, c = draw_coeffs(INDEP_FAMILY, batch.values.size, rng)
+        moved = apply_map(AFFINE, a, b, c, batch.values)
         for t in np.quantile(batch.values, [0.5, 0.9, 0.99]):
             p0 = np.mean(batch.values > t)
             p1 = np.mean(moved > t)
@@ -177,7 +177,7 @@ class TestPerpetuity:
         prod = np.ones(n)
         truncated = None
         for step in range(k + 20):
-            a, b = draw_coeffs(INDEP, n, rng)
+            a, b, _ = draw_coeffs(INDEP_FAMILY, n, rng)
             acc += b * prod
             prod *= a
             if step == k - 1:
@@ -283,7 +283,7 @@ class TestConditionalTailQuadrature:
                 + (1.0 - p) * _affine_branch_by_quad(LP, LP, -side * y, t, side)
                 for y in self.YS
             ]
-            np.testing.assert_allclose(got, want, rtol=1e-5, atol=0.0,
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0,
                                        err_msg=f"t = {t}")
 
 

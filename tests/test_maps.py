@@ -15,12 +15,9 @@ from sfpe.maps import (
     CoeffLaw,
     MapFamily,
     NoClosedFormError,
-    RealizedMap,
     apply_map,
     draw_coeffs,
-    draw_map,
     elton_precheck,
-    f_bound_check,
     f_minus,
     f_plus,
 )
@@ -52,32 +49,46 @@ class TestCoeffLaw:
 
 
 class TestRealizedMaps:
+    # a realized map is apply_map at one drawn coefficient triple
     def test_affine(self):
-        m = RealizedMap(AFFINE, 0.5, 2.0)
-        assert m(3.0) == pytest.approx(3.5)
-        assert m.lipschitz == 0.5
+        assert apply_map(AFFINE, 0.5, 2.0, 0.0, 3.0) == pytest.approx(3.5)
 
     def test_max_affine(self):
-        m = RealizedMap(MAX_AFFINE, 2.0, 10.0)
-        assert m(1.0) == 10.0
-        assert m(100.0) == 200.0
+        assert apply_map(MAX_AFFINE, 2.0, 10.0, 0.0, 1.0) == 10.0
+        assert apply_map(MAX_AFFINE, 2.0, 10.0, 0.0, 100.0) == 200.0
 
     def test_pos_part_affine(self):
-        m = RealizedMap(POS_PART_AFFINE, 2.0, 3.0, b_lower=1.0)
-        assert m(-5.0) == 3.0
-        assert m(2.0) == 7.0
+        assert apply_map(POS_PART_AFFINE, 2.0, 3.0, 0.0, -5.0) == 3.0
+        assert apply_map(POS_PART_AFFINE, 2.0, 3.0, 0.0, 2.0) == 7.0
 
     def test_sqrt_log(self):
-        m = RealizedMap(SQRT_LOG, 1.0, 1.0, 1.0)
         x = math.e**2
-        assert m(x) == pytest.approx(x + math.e * 2.0 + 1.0)
+        assert apply_map(SQRT_LOG, 1.0, 1.0, 1.0, x) == pytest.approx(
+            x + math.e * 2.0 + 1.0
+        )
 
-    def test_draw_map_matches_family_formula(self):
+    def test_drawn_map_matches_family_formula(self):
         fam = indep_family()
-        rng = np.random.default_rng(3)
-        m = draw_map(fam, rng)
+        a, b, c = draw_coeffs(fam, 1, np.random.default_rng(3))
+        assert c == 0.0
         x = np.array([-1.0, 0.0, 2.5])
-        np.testing.assert_allclose(m(x), m.a * x + m.b)
+        np.testing.assert_allclose(apply_map(fam.kind, a, b, c, x), a * x + b)
+
+
+def sqrtlog(x):
+    return np.sqrt(np.maximum(x, 0.0)) * np.log(np.maximum(x, 1.0))
+
+
+def envelope(fam, a, b, c):
+    """(coefficient, phi) with |Psi(x) - A x| <= coefficient * phi(|x|), per
+    drawn map (columns)."""
+    if fam.kind == AFFINE:
+        return np.abs(b), lambda x: np.ones_like(x)
+    if fam.kind == MAX_AFFINE:
+        return b, lambda x: np.ones_like(x)
+    if fam.kind == POS_PART_AFFINE:
+        return a * fam.b_lower + b, lambda x: np.ones_like(x)
+    return b + c, lambda x: sqrtlog(x) + 1.0
 
 
 class TestDecomposition:
@@ -100,19 +111,19 @@ class TestDecomposition:
             x = np.linspace(-fam.b_lower, 20.0, 81)
         else:
             x = np.linspace(-20.0, 20.0, 81)
-        for _ in range(1000):
-            m = draw_map(fam, rng)
-            coeff, phi = m.envelope()
-            assert np.all(np.abs(m(x) - m.a * x) <= coeff * phi(np.abs(x)) + 1e-12)
+        a, b, c = draw_coeffs(fam, 1000, rng)
+        x = x[:, None]
+        coeff, phi = envelope(fam, a, b, c)
+        psi = apply_map(fam.kind, a, b, c, x)
+        assert np.all(np.abs(psi - a * x) <= coeff * phi(np.abs(x)) + 1e-12)
 
     @pytest.mark.parametrize("kind", [MAX_AFFINE, POS_PART_AFFINE])
     def test_monotone_for_positive_a(self, kind):
         fam = indep_family(kind, b_lower=0.5 if kind == POS_PART_AFFINE else 0.0)
         rng = np.random.default_rng(5)
-        x = np.linspace(-10.0, 10.0, 201)
-        for _ in range(200):
-            m = draw_map(fam, rng)
-            assert np.all(np.diff(m(x)) >= 0)
+        x = np.linspace(-10.0, 10.0, 201)[:, None]
+        a, b, c = draw_coeffs(fam, 200, rng)
+        assert np.all(np.diff(apply_map(kind, a, b, c, x), axis=0) >= 0)
 
 
 class TestClosedForms:
@@ -170,11 +181,19 @@ class TestClosedForms:
         assert devs[-1][0] <= max(devs[-1][1], 0.05 * target)
 
 
+def assert_f_bound(fam, alpha, y):
+    """f+(y) <= 2^alpha (y+^alpha + f+(0)) and the mirrored bound for f-,
+    stated for positive A."""
+    fp0 = float(f_plus(fam, 0.0, alpha))
+    fm0 = float(f_minus(fam, 0.0, alpha))
+    pos, neg = np.maximum(y, 0.0), np.maximum(-y, 0.0)
+    assert np.all(f_plus(fam, y, alpha) <= 2.0**alpha * (pos**alpha + fp0))
+    assert np.all(f_minus(fam, y, alpha) <= 2.0**alpha * (neg**alpha + fm0))
+
+
 class TestFBound:
     def test_holds_for_independent(self):
-        rep = f_bound_check(indep_family(), 2.0, np.linspace(-10, 10, 101))
-        assert rep.ok
-        assert rep.max_slack <= 0.0
+        assert_f_bound(indep_family(), 2.0, np.linspace(-10, 10, 101))
 
     def test_arithmetic_example(self):
         fam = indep_family()
@@ -183,13 +202,7 @@ class TestFBound:
 
     def test_holds_for_equal(self):
         fam = MapFamily(AFFINE, CoeffLaw(LP, LP, EQUAL))
-        rep = f_bound_check(fam, 2.0, np.linspace(-5, 50, 111))
-        assert rep.ok
-
-    def test_signed_rejected(self):
-        fam = MapFamily(AFFINE, CoeffLaw(LP, LP, SIGNED, p_plus=0.75))
-        with pytest.raises(ValueError, match="positive A"):
-            f_bound_check(fam, 2.0, np.linspace(-5, 5, 11))
+        assert_f_bound(fam, 2.0, np.linspace(-5, 50, 111))
 
 
 class TestEltonPrecheck:
@@ -218,14 +231,30 @@ class TestEltonPrecheck:
 
 class TestDrawCoeffs:
     def test_equal_is_pathwise(self):
-        a, b = draw_coeffs(CoeffLaw(LP, LP, EQUAL), 100, np.random.default_rng(0))
+        fam = MapFamily(AFFINE, CoeffLaw(LP, LP, EQUAL))
+        a, b, c = draw_coeffs(fam, 100, np.random.default_rng(0))
         np.testing.assert_array_equal(a, b)
+        assert c == 0.0
 
     def test_signed_sign_frequency(self):
-        law = CoeffLaw(LP, LP, SIGNED, p_plus=0.75)
-        a, _ = draw_coeffs(law, 100_000, np.random.default_rng(2))
+        fam = MapFamily(AFFINE, CoeffLaw(LP, LP, SIGNED, p_plus=0.75))
+        a, _, _ = draw_coeffs(fam, 100_000, np.random.default_rng(2))
         frac = np.mean(a > 0)
         assert abs(frac - 0.75) < 3 * math.sqrt(0.75 * 0.25 / 100_000)
+
+    def test_sqrt_log_c_has_marginal_c_law(self):
+        pa = Pareto(2.0, 1.0)
+        fam = indep_family(SQRT_LOG, marginal_c=pa, c_c=1.0)
+        n = 100_000
+        a, b, c = draw_coeffs(fam, n, np.random.default_rng(4))
+        assert c.shape == (n,)
+        # C is drawn after (A, B) from the same stream
+        rng = np.random.default_rng(4)
+        draw_coeffs(indep_family(), n, rng)
+        np.testing.assert_array_equal(c, pa.sample(n, rng))
+        for t in (1.5, 3.0, 10.0):
+            p = float(pa.survival(t))
+            assert abs(np.mean(c > t) - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
     def test_apply_map_unknown_kind(self):
         with pytest.raises(ValueError):

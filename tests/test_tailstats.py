@@ -6,15 +6,13 @@ import pytest
 from sfpe import tailstats
 from sfpe.dist import LogPareto, Pareto
 from sfpe.engine import SampleBatch, SimConfig
-from sfpe.maps import AFFINE, INDEPENDENT, CoeffLaw, MapFamily
+from sfpe.maps import AFFINE, INDEPENDENT, SIGNED, CoeffLaw, MapFamily
 from sfpe.tailstats import (
     default_grid,
     ecdf_survival,
     estimate_to_csv,
     hill,
     plugin_moment,
-    pow_minus,
-    pow_plus,
     ratio_curve,
     reliable_index,
     smoothed_survival,
@@ -133,11 +131,11 @@ class TestHill:
 
 class TestPluginMoment:
     def test_pow_plus(self):
-        mean, _ = plugin_moment(batch_of([1.0, 2.0]), pow_plus(2.0))
+        mean, _ = plugin_moment(batch_of([1.0, 2.0]), lambda x: np.maximum(x, 0.0) ** 2.0)
         assert mean == 2.5
 
     def test_pow_minus(self):
-        mean, _ = plugin_moment(batch_of([-1.0, 1.0]), pow_minus(2.0))
+        mean, _ = plugin_moment(batch_of([-1.0, 1.0]), lambda x: np.maximum(-x, 0.0) ** 2.0)
         assert mean == 0.5
 
     def test_jackknife_matches_standard_error(self):
@@ -176,6 +174,13 @@ class TestGrids:
         assert est.n_exceed[-1] >= 290  # the 300-exceedance endpoint
         assert est.p_hat[0] <= 0.011
 
+    def test_left_grid_is_grid_of_negated_batch(self):
+        values = Pareto(2.0, 1.0).sample(100_000, np.random.default_rng(3))
+        signed = np.where(np.arange(values.size) % 2 == 0, values, -values)
+        np.testing.assert_array_equal(
+            default_grid(batch_of(signed), side=-1), default_grid(batch_of(-signed))
+        )
+
     def test_reliable_index(self):
         est = ecdf_survival(
             batch_of(np.arange(1, 1002, dtype=float)), np.array([500.0, 900.0])
@@ -201,6 +206,18 @@ class TestSmoothedSurvival:
             sm_se = (smooth.ci_hi[i] - smooth.ci_lo[i]) / 2
             assert abs(smooth.p_hat[i] - raw.p_hat[i]) <= 3 * math.hypot(raw_se, sm_se)
             assert sm_se < raw_se
+
+
+    def test_n_exceed_counts_the_requested_tail(self):
+        # the empirical exceedance count, not the smoothed estimate times N
+        lp = LogPareto(2.0, 3.0, 0.4)
+        coeff = CoeffLaw(lp, lp, SIGNED, p_plus=0.75, c_b=1.0)
+        batch = batch_of([-5.0, -2.0, 1.0, 3.0])
+        for side, counts in ((+1, [1, 0]), (-1, [2, 1])):
+            est = smoothed_survival(batch, coeff, AFFINE, [1.5, 3.0], side=side)
+            np.testing.assert_array_equal(est.n_exceed, counts)
+            ecdf = ecdf_survival(batch, [1.5, 3.0], side=side)
+            np.testing.assert_array_equal(ecdf.n_exceed, counts)
 
 
 class TestCsv:

@@ -5,6 +5,12 @@ Every model exposes the same small surface: ``survival`` (exact, vectorized),
 (power moments E[X^s], closed form where available, adaptive quadrature
 otherwise) and ``exp_moment`` (exponential moments E[e^{sX}]).  Models are
 immutable after construction and safe to share between workers.
+
+The LogPareto and ExpPoly quantiles are the hot kernel of the sampler and
+of the smoothing quadrature.  Both reduce to a v + b log1p(v) = -log u and
+share one solver, `_solve_log1p`: Newton steps from the first-order inverse,
+written into preallocated arrays, with each element stopping on its own.
+ExpStretched keeps the generic `_newton_concave_increasing`.
 """
 
 from __future__ import annotations
@@ -50,6 +56,60 @@ def _newton_concave_increasing(g, gprime, w, v0, max_iter=60, tol=1e-15):
         if np.all(np.abs(step) <= tol * (1.0 + np.abs(v))):
             break
     return v
+
+
+def _solve_log1p(a, b, u, max_iter=60, tol=1e-15):
+    """Solve a v + b log1p(v) = -log(u) (a, b > 0, u in (0, 1]) elementwise.
+
+    The left side is concave and increasing, so Newton's method converges
+    from any start: the first step lands at or below the root, and from
+    below the iteration rises monotonically.  It starts from the first-order
+    inverse max((w - b log1p(w / (a + b))) / a, 0), w = -log(u), which is
+    right to first order both as w -> 0 and as w -> inf, so the step test of
+    `_newton_concave_increasing` runs only from the fourth step on.  There
+    each element stops at its own first small step and the rest go on
+    alone, so an element's root does not depend on the other elements of
+    the call.  The steps write into preallocated arrays; `u` is only read.
+    """
+    w = np.log(u, out=np.empty_like(u))
+    np.negative(w, out=w)
+    root = np.divide(w, a + b, out=np.empty_like(w))
+    np.log1p(root, out=root)
+    root *= b
+    np.subtract(w, root, out=root)
+    root /= a
+    np.maximum(root, 0.0, out=root)
+    flat = root.reshape(-1)  # a view: writes land in root
+    v, w = flat, w.reshape(-1)
+    active = None  # indices of flat that v holds; None while v is flat
+    f, d = np.empty_like(v), np.empty_like(v)
+    for i in range(max_iter):
+        # f = (a v + b log1p(v) - w) / (a + b / (1 + v)), the Newton step
+        np.log1p(v, out=f)
+        f *= b
+        np.multiply(v, a, out=d)
+        f += d
+        f -= w
+        np.add(v, 1.0, out=d)
+        np.divide(b, d, out=d)
+        d += a
+        f /= d
+        v -= f
+        np.maximum(v, 0.0, out=v)
+        if i < 3:
+            continue
+        np.abs(f, out=f)
+        np.add(v, 1.0, out=d)
+        d *= tol
+        live = np.flatnonzero(np.greater(f, d))
+        if active is not None:
+            flat[active] = v
+        if live.size == 0:
+            break
+        active = live if active is None else active[live]
+        v, w = flat[active], w[live]
+        f, d = np.empty_like(v), np.empty_like(v)
+    return root
 
 
 class TailModel:
@@ -218,15 +278,9 @@ class LogPareto(TailModel):
 
     def quantile(self, u):
         u = self._check_u(u)
-        a, b = self.alpha, self.beta
-        w = -np.log(u)
-        v = _newton_concave_increasing(
-            lambda v: a * v + b * np.log1p(v),
-            lambda v: a + b / (1.0 + v),
-            w,
-            w / a,
-        )
-        out = self.x0 * np.exp(v)
+        out = _solve_log1p(self.alpha, self.beta, u)  # log(t / x0)
+        np.exp(out, out=out)
+        out *= self.x0
         return out if out.ndim else float(out)
 
     def alpha_moment(self, s):
@@ -294,16 +348,11 @@ class ExpPoly(TailModel):
         return out if out.ndim else float(out)
 
     def quantile(self, u):
+        # a z + q log1p(z / t0) = -log u, solved for v = z / t0
         u = self._check_u(u)
-        a, q, t0 = self.alpha, -self.p, self.t0
-        w = -np.log(u)
-        z = _newton_concave_increasing(
-            lambda z: a * z + q * np.log1p(z / t0),
-            lambda z: a + q / (t0 + z),
-            w,
-            w / a,
-        )
-        out = t0 + z
+        out = _solve_log1p(self.alpha * self.t0, -self.p, u)
+        out *= self.t0
+        out += self.t0
         return out if out.ndim else float(out)
 
     def alpha_moment(self, s):

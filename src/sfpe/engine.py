@@ -180,6 +180,7 @@ def sample_perpetuity(coeff: CoeffLaw, cfg: SimConfig, workers: int = 1) -> Samp
 
 _GL_NODES = 96
 _GL_PANELS = 12
+_GL_BLOCK = 512  # rows per block of _affine_branch: (512, 96) float64 = 393 KB
 
 
 @functools.lru_cache(maxsize=None)
@@ -220,6 +221,13 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
     than the interval, or v = 0, near which it behaves like v times powers
     of log v.  The node budget is spent on panels that widen geometrically
     away from that end instead of on one rule over the interval.
+
+    Each element of s is one row of _GL_NODES nodes.  Rows are evaluated in
+    blocks of _GL_BLOCK, so the node, quantile and integrand arrays stay
+    cache-sized (393 KB each) instead of growing with s (6.3 MB each on the
+    8192-node smoothing grid) and being page-faulted in afresh on every
+    call.  A row's sum is the same reduction in any block, and the quantile
+    solves each element on its own, so the blocking changes no bit.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if isinstance(bm, Constant):
@@ -227,23 +235,30 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
     x0w = wm.support_low
     out = np.zeros(s.shape)
 
-    def _gl_graded(start, end, first, h):
-        # integral of h over v between start and end (either way round), per
-        # element: _GL_PANELS panels, the first (at start) of width `first`,
-        # the rest widening geometrically up to end
-        span = end - start
-        size = np.abs(span)
-        ratio = np.clip(first / np.where(size > 0.0, size, 1.0), 1e-300, 1.0)
-        k = np.arange(_GL_PANELS)
-        offsets = ratio[:, None] ** ((_GL_PANELS - 1 - k) / (_GL_PANELS - 1))
-        rel = np.concatenate([np.zeros((start.size, 1)), offsets], axis=1)
-        edges = start[:, None] + span[:, None] * rel
+    def _gl_graded(start, end, first, scale, h):
+        # integral of h(b, scale) over v between start and end (either way
+        # round), per element: _GL_PANELS panels, the first (at start) of
+        # width `first`, the rest widening geometrically up to end.  Rows go
+        # in blocks of _GL_BLOCK, each with its slice of `scale`
+        end = np.broadcast_to(end, start.shape)
         g, gw = _gl01(_GL_NODES // _GL_PANELS)
-        width = np.diff(edges, axis=1)
-        v = (edges[:, :-1, None] + width[:, :, None] * g).reshape(start.size, -1)
-        b = bm.quantile(np.clip(v, 1e-300, 1.0))
-        weights = (np.abs(width)[:, :, None] * gw).reshape(start.size, -1)
-        return np.sum(h(b) * weights, axis=1)
+        k = np.arange(_GL_PANELS)
+        sums = []
+        for lo in range(0, start.size, _GL_BLOCK):
+            rows = slice(lo, lo + _GL_BLOCK)
+            st = start[rows]
+            span = end[rows] - st
+            size = np.abs(span)
+            ratio = np.clip(first[rows] / np.where(size > 0.0, size, 1.0), 1e-300, 1.0)
+            offsets = ratio[:, None] ** ((_GL_PANELS - 1 - k) / (_GL_PANELS - 1))
+            rel = np.concatenate([np.zeros((st.size, 1)), offsets], axis=1)
+            edges = st[:, None] + span[:, None] * rel
+            width = np.diff(edges, axis=1)
+            v = (edges[:, :-1, None] + width[:, :, None] * g).reshape(st.size, -1)
+            b = bm.quantile(np.clip(v, 1e-300, 1.0))
+            weights = (np.abs(width)[:, :, None] * gw).reshape(st.size, -1)
+            sums.append(np.sum(h(b, scale[rows, None]) * weights, axis=1))
+        return np.concatenate(sums)
 
     pos = s > 0
     neg = s < 0
@@ -262,7 +277,8 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
                 u_star,
                 1.0,
                 np.minimum(u_ramp - u_star, u_star),
-                lambda b: wm.survival((t - b) / sp[:, None]),
+                sp,
+                lambda b, sp: wm.survival((t - b) / sp),
             )
             out[pos] = u_star + vals
         if np.any(neg):
@@ -275,7 +291,8 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
                 u_star,
                 0.0,
                 np.minimum(u_star - u_ramp, u_star),
-                lambda b: 1.0 - wm.survival((b - t) / sn[:, None]),
+                sn,
+                lambda b, sn: 1.0 - wm.survival((b - t) / sn),
             )
     else:
         # P[s W - B > t]: needs s > 0 and then b < s*x0w - t can make it certain
@@ -286,7 +303,8 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
                 np.zeros_like(v_bar),
                 v_bar,
                 1e-6 * v_bar,
-                lambda b: wm.survival((t + b) / sp[:, None]),
+                sp,
+                lambda b, sp: wm.survival((t + b) / sp),
             )
             out[pos] = (1.0 - v_bar) + vals
         # s <= 0: sW - B <= 0 < t almost surely
@@ -400,10 +418,18 @@ def load_batch(path) -> SampleBatch:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise EngineError(f"bad magic in batch file {path}")
-        version, count = struct.unpack("<IQ", fh.read(12))
+        header = fh.read(12)
+        if len(header) < 12:
+            raise EngineError(f"truncated header in batch file {path}")
+        version, count = struct.unpack("<IQ", header)
         if version != _VERSION:
             raise EngineError(f"unsupported batch version {version}")
-        values = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+        body = fh.read(count * 8)
+        if len(body) < count * 8:
+            raise EngineError(
+                f"truncated batch file {path}: {len(body) // 8} of {count} values"
+            )
+        values = np.frombuffer(body, dtype="<f8", count=count)
     meta = {}
     try:
         with open(str(path) + ".cfg") as fh:

@@ -13,6 +13,7 @@ from sfpe.dist import (
     LogPareto,
     Pareto,
     format_model,
+    _newton_concave_increasing,
     log_view,
     parse_model,
 )
@@ -103,6 +104,78 @@ class TestQuantile:
     def test_inversion_property(self, u):
         m = LogPareto(2.0, 3.0, 0.4)
         assert m.survival(m.quantile(u)) == pytest.approx(u, rel=1e-8)
+
+
+# (alpha, beta, x0): LogPareto(alpha, beta, x0) and ExpPoly(alpha, -beta, x0)
+SOLVER_PARAMS = [
+    (0.5, 5.0, 2.0),
+    (2.0, 40.0, 1.0),
+    (5.0, 1.01, 0.1),
+    (2.0, 3.0, 0.4),
+    (1.2, 1.5, 2.0),
+    (1.0, 2.0, 1.0),
+]
+
+
+class TestLog1pSolver:
+    """LogPareto and ExpPoly quantiles solve a v + b log1p(v) = -log u; the
+    oracle is the generic Newton solver started from w / a."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _u():
+        rng = np.random.default_rng(11)
+        return np.concatenate([np.logspace(-300.0, 0.0, 601), 1.0 - rng.random(5000)])
+
+    @pytest.mark.parametrize("alpha,beta,x0", SOLVER_PARAMS)
+    def test_log_pareto_matches_oracle(self, alpha, beta, x0):
+        u = self._u()
+        w = -np.log(u)
+        v_ref = _newton_concave_increasing(
+            lambda v: alpha * v + beta * np.log1p(v),
+            lambda v: alpha + beta / (1.0 + v),
+            w,
+            w / alpha,
+        )
+        with np.errstate(over="ignore"):
+            q = LogPareto(alpha, beta, x0).quantile(u)
+            finite = np.isfinite(x0 * np.exp(v_ref))
+        # past exp overflow both give inf
+        np.testing.assert_array_equal(np.isfinite(q), finite)
+        v = np.log(q[finite] / x0)
+        err = np.abs(v - v_ref[finite]) / (self.EPS * (1.0 + v_ref[finite]))
+        assert err.max() <= 4.0
+
+    @pytest.mark.parametrize("alpha,beta,t0", SOLVER_PARAMS)
+    def test_exp_poly_matches_oracle(self, alpha, beta, t0):
+        u = self._u()
+        w = -np.log(u)
+        z_ref = _newton_concave_increasing(
+            lambda z: alpha * z + beta * np.log1p(z / t0),
+            lambda z: alpha + beta / (t0 + z),
+            w,
+            w / alpha,
+        )
+        v = (ExpPoly(alpha, -beta, t0).quantile(u) - t0) / t0
+        v_ref = z_ref / t0
+        assert np.max(np.abs(v - v_ref) / (self.EPS * (1.0 + v_ref))) <= 4.0
+
+    @pytest.mark.parametrize("model", [LogPareto(2.0, 3.0, 0.4), ExpPoly(1.0, -2.0, 1.0)])
+    def test_contract(self, model):
+        assert isinstance(model.quantile(0.3), float)
+        assert model.quantile(1.0) == model.support_low
+        u = self._u()
+        kept = u.copy()
+        u.flags.writeable = False  # writing into the caller's u would raise
+        q = model.quantile(u)
+        np.testing.assert_array_equal(u, kept)
+        # each element's root is its own: one call per element changes no bit
+        assert np.array_equal(q, [model.quantile(x) for x in u])
+        with pytest.raises(ValueError, match="unbounded"):
+            model.quantile(np.array([0.5, 0.0]))
+        with pytest.raises(ValueError, match="domain error"):
+            model.quantile(1.5)
 
 
 class TestSampling:

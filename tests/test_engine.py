@@ -29,6 +29,7 @@ from sfpe.maps import (
     CoeffLaw,
     MapFamily,
 )
+from sfpe.tailstats import default_grid
 
 LP = LogPareto(2.0, 3.0, 0.4)
 INDEP = CoeffLaw(LP, LP, INDEPENDENT, c_b=1.0)
@@ -318,6 +319,55 @@ class TestSmoothedTail:
         assert est == pytest.approx(direct, rel=1e-5)
 
 
+CASES = pytest.mark.parametrize("coeff,side", [
+    (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1),
+], ids=["independent", "signed-right", "signed-left"])
+
+
+class TestQuadratureBlocking:
+    # _affine_branch evaluates its quadrature rows in blocks of _GL_BLOCK;
+    # a row's value must not depend on the block it falls in
+
+    @CASES
+    def test_slices_match_whole_grid(self, coeff, side):
+        y = _chain_batch(coeff, 50_000).values
+        g = np.linspace(np.asinh(y.min()), np.asinh(y.max()), engine._SMOOTH_GRID)
+        grid = np.sinh(g)
+        block = engine._GL_BLOCK
+        cuts = [0, block - 211, 3 * block + 5, 5000, grid.size]
+        sizes = np.diff(cuts)
+        assert np.all(sizes % block != 0) and sizes.min() < block
+        for t in (1.2, 1.5, 1.8, 2.2, 3.2, 8.0, 38.0):
+            whole = conditional_tail(coeff, AFFINE, t, grid, side=side)
+            parts = np.concatenate([
+                conditional_tail(coeff, AFFINE, t, grid[lo:hi], side=side)
+                for lo, hi in zip(cuts[:-1], cuts[1:])
+            ])
+            assert np.array_equal(whole, parts), f"t = {t}"
+
+    @CASES
+    def test_smoothed_tail_matches_unblocked(self, coeff, side, monkeypatch):
+        batch = _chain_batch(coeff, 50_000)
+        ts = [1.2, 1.8, 8.0]
+        blocked = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
+        monkeypatch.setattr(engine, "_GL_BLOCK", engine._SMOOTH_GRID)
+        unblocked = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
+        assert np.array_equal(blocked, unblocked)
+
+
+class TestSmoothingGridError:
+    @pytest.mark.parametrize("side", [+1, -1], ids=["right", "left"])
+    def test_half_grid_moves_estimate_far_below_se(self, side, monkeypatch):
+        # the interpolation error of the 8192-node grid is bounded by how far
+        # the estimate moves when the grid is halved
+        batch = _chain_batch(SIGNED_COEFF, 262_144)
+        ts = default_grid(batch, side=side)
+        est, se = smoothed_tail(batch, SIGNED_COEFF, AFFINE, ts, side=side)
+        monkeypatch.setattr(engine, "_SMOOTH_GRID", engine._SMOOTH_GRID // 2)
+        half, _ = smoothed_tail(batch, SIGNED_COEFF, AFFINE, ts, side=side)
+        assert np.max(np.abs(half - est) / se) < 0.05
+
+
 @lru_cache(maxsize=None)
 def _chain_batch(coeff, n):
     return sample_stationary_chain(MapFamily(AFFINE, coeff), SimConfig(n_samples=n, seed=43))
@@ -344,6 +394,14 @@ class TestPersistence:
         assert raw[:4] == b"SFPB"
         assert int.from_bytes(raw[4:8], "little") == 1
         assert int.from_bytes(raw[8:16], "little") == 2
+
+    @pytest.mark.parametrize("keep", [-8, 10], ids=["body", "header"])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "batch.bin"
+        save_batch(sample_stationary_chain(INDEP_FAMILY, SimConfig(n_samples=100, seed=2)), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(EngineError, match="truncated.*batch.bin"):
+            load_batch(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -172,9 +172,12 @@ def _grid_for(cfg: ExperimentConfig, batch, side):
                 f"no usable tail on this side of the batch: {exc}"
             ) from None
     try:
-        return np.array([float(x) for x in rule.split(",")])
+        grid = np.array([float(x) for x in rule.split(",")])
     except ValueError:
         raise ConfigError(f"bad t_grid rule {rule!r}") from None
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+        raise ConfigError(f"t_grid {rule!r} must be finite and strictly increasing")
+    return grid
 
 
 def _out_dir(cfg, args):

@@ -10,7 +10,8 @@ The LogPareto and ExpPoly quantiles are the hot kernel of the sampler and
 of the smoothing quadrature.  Both reduce to a v + b log1p(v) = -log u and
 share one solver, `_solve_log1p`: Newton steps from the first-order inverse,
 written into preallocated arrays, with each element stopping on its own.
-ExpStretched keeps the generic `_newton_concave_increasing`.
+ExpStretched keeps the generic `_newton_concave_increasing`, whose elements
+also stop on their own.
 """
 
 from __future__ import annotations
@@ -46,16 +47,23 @@ def _newton_concave_increasing(g, gprime, w, v0, max_iter=60, tol=1e-15):
     """Solve g(v) = w elementwise for concave increasing g, starting above the root.
 
     One step from above lands below the root; afterwards the iteration is
-    monotone increasing, so convergence is guaranteed and quadratic.
+    monotone increasing, so convergence is guaranteed and quadratic.  Each
+    element stops at its own first small step and the rest go on alone, so
+    an element's root does not depend on the other elements of the call.
     """
-    v = np.asarray(v0, dtype=float).copy()
+    root = np.array(v0, dtype=float)
+    flat = root.reshape(-1)  # a view: writes land in root
+    v, w = flat, np.broadcast_to(w, root.shape).reshape(-1)
+    active = np.arange(flat.size)
     for _ in range(max_iter):
         step = (g(v) - w) / gprime(v)
-        v -= step
-        v = np.maximum(v, 0.0)
-        if np.all(np.abs(step) <= tol * (1.0 + np.abs(v))):
+        v = np.maximum(v - step, 0.0)
+        flat[active] = v
+        live = np.abs(step) > tol * (1.0 + np.abs(v))
+        if not live.any():
             break
-    return v
+        active, v, w = active[live], v[live], w[live]
+    return root
 
 
 def _solve_log1p(a, b, u, max_iter=60, tol=1e-15):

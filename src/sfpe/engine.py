@@ -4,7 +4,9 @@ One sampler: independent replica chains.  The truncated perpetuity (affine
 maps only) is that chain run K steps from 0, with K from the remainder
 bound.  On top of a batch, the Rao-Blackwellized (smoothed) tail estimator
 averages the closed-form one-step tail over the samples, interpolated on one
-grid per batch.  Sampling is chunked; each chunk owns a counter-based Philox
+grid per batch: the interpolation weights are built once per batch, and
+each level evaluates the one-step tail on the grid alone, never on the
+samples.  Sampling is chunked; each chunk owns a counter-based Philox
 stream keyed by (seed, chunk_index), so results are bit-identical for any
 worker count.
 """
@@ -353,18 +355,54 @@ def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
 _SMOOTH_GRID = 8192
 
 
+def _interp_weights(g, grid_g):
+    """Linear interpolation of the points g on grid_g as weights on the
+    nodes: (w, d, o), of sizes G, G and G - 1.
+
+    Point i lies in interval j_i at fraction f_i, so its interpolated value
+    is (1 - f_i) v[j_i] + f_i v[j_i + 1].  The mean of these values is w . v,
+    and their sum of squares is sum_k d_k v_k^2 + 2 sum_k o_k v_k v_{k+1};
+    w, d and o depend on the points alone, not on v.
+    """
+    size = grid_g.size
+    j = np.searchsorted(grid_g, g, side="right")
+    j -= 1
+    np.clip(j, 0, size - 2, out=j)
+    f = g - grid_g[j]
+    width = np.diff(grid_g)[j]
+    # equal points give a zero-width grid, and f = g - grid_g[j] = 0 there
+    np.divide(f, width, out=f, where=width > 0.0)
+    del width
+    h = 1.0 - f
+    w = np.bincount(j, h, size)
+    d = np.bincount(j, h * h, size)
+    o = np.bincount(j, h * f, size)
+    j += 1
+    w += np.bincount(j, f, size)
+    d += np.bincount(j, f * f, size)
+    return w / g.size, d, o[:-1]
+
+
 def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t_grid, side=+1):
     """Mean over stationary samples y_i of P[Psi(y_i) > t] at each t of
     t_grid; unbiased for P[R > t] with strictly smaller variance than the
     indicator estimator.
 
-    Returns (estimates, standard errors), one per t.  Where the conditional
-    tail has a closed form (equal coefficients, constant B) it is evaluated
-    at every sample.  Otherwise it (a smooth monotone function of y) is
-    evaluated on one dense asinh-spaced grid over the batch's range and
-    interpolated; the grid error is far below Monte Carlo noise.
+    Returns (estimates, standard errors), one per t; a single sample has
+    standard error nan.  Where the conditional tail has a closed form (equal
+    coefficients, constant B) it is evaluated at every sample.  Otherwise it
+    (a smooth monotone function of y) is linearly interpolated from one
+    dense asinh-spaced grid over the batch's range; the grid error is far
+    below Monte Carlo noise.  The interpolation weights are built once per
+    batch, so each t costs the one-step tail on every grid node and two dot
+    products, whatever the batch size and however the samples spread over
+    the grid (nodes without samples have weight 0; skipping them would make
+    the cost follow the sample extremes).  The variance is taken about the
+    mean on the nodes, which interpolation carries over to the samples
+    exactly.
     """
     y = np.asarray(batch.values, dtype=float)
+    n = y.size
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     exact = (kind == AFFINE and coeff.dependence == EQUAL) or isinstance(
         coeff.marginal_b, Constant
@@ -373,17 +411,22 @@ def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t_grid, side=+
         # asinh scale covers signed, heavy-tailed sample ranges gracefully
         g = np.asinh(y)
         grid_g = np.linspace(float(g.min()), float(g.max()), _SMOOTH_GRID)
+        w, d, o = _interp_weights(g, grid_g)
         grid_y = np.sinh(grid_g)
     est = np.empty(t_grid.shape)
     se = np.empty(t_grid.shape)
     for i, t in enumerate(t_grid):
         if exact:
             vals = conditional_tail(coeff, kind, float(t), y, side=side)
+            est[i] = vals.mean()
+            se[i] = vals.std(ddof=1) / math.sqrt(vals.size)
         else:
-            grid_v = conditional_tail(coeff, kind, float(t), grid_y, side=side)
-            vals = np.interp(g, grid_g, grid_v)
-        est[i] = vals.mean()
-        se[i] = vals.std(ddof=1) / math.sqrt(vals.size)
+            v = conditional_tail(coeff, kind, float(t), grid_y, side=side)
+            # a mean of probabilities; the dot product can round above 1
+            est[i] = m = min(w @ v, 1.0)
+            c = v - m
+            ss = d @ (c * c) + 2.0 * (o @ (c[:-1] * c[1:]))
+            se[i] = math.sqrt(max(ss, 0.0) / (n - 1) / n) if n > 1 else math.nan
     return est, se
 
 

@@ -75,6 +75,10 @@ class TestConfig:
         path = config_file(BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = rght"))
         for command in ("estimate", "verify"):
             assert main([command, "--config", path]) == EXIT_CONFIG
+        for grid in ("5,3", "nan,2", "2,inf"):
+            path = config_file(BASE_CONFIG.replace("sigma = 0.45", f"sigma = 0.45\nt_grid = {grid}"))
+            for command in ("estimate", "verify"):
+                assert main([command, "--config", path]) == EXIT_CONFIG, (grid, command)
 
 
 class TestPredict:

@@ -161,7 +161,9 @@ class TestLog1pSolver:
         v_ref = z_ref / t0
         assert np.max(np.abs(v - v_ref) / (self.EPS * (1.0 + v_ref))) <= 4.0
 
-    @pytest.mark.parametrize("model", [LogPareto(2.0, 3.0, 0.4), ExpPoly(1.0, -2.0, 1.0)])
+    @pytest.mark.parametrize("model", [
+        LogPareto(2.0, 3.0, 0.4), ExpPoly(1.0, -2.0, 1.0), ExpStretched(1.0, 1.0, 0.5, 1.0),
+    ])
     def test_contract(self, model):
         assert isinstance(model.quantile(0.3), float)
         assert model.quantile(1.0) == model.support_low

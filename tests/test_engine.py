@@ -288,6 +288,11 @@ class TestConditionalTailQuadrature:
                                        err_msg=f"t = {t}")
 
 
+CASES = pytest.mark.parametrize("coeff,side", [
+    (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1),
+], ids=["independent", "signed-right", "signed-left"])
+
+
 class TestSmoothedTail:
     def test_unbiased_and_lower_variance(self):
         batch = sample_stationary_chain(
@@ -318,10 +323,45 @@ class TestSmoothedTail:
         ) / y.size
         assert est == pytest.approx(direct, rel=1e-5)
 
+    @pytest.mark.filterwarnings("error")
+    @CASES
+    def test_equal_values_and_single_sample(self, coeff, side):
+        # a batch of equal values has a zero-width grid: the conditional tail
+        # at that value, with no spread; one sample has no standard error
+        ts = [1.5, 4.0, 20.0]
+        for values in (np.full(1000, 2.5), np.array([-0.7])):
+            batch = SampleBatch(values, "chain", 0, SimConfig(n_samples=values.size, seed=0))
+            est, se = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
+            want = [conditional_tail(coeff, AFFINE, t, values[:1], side=side)[0] for t in ts]
+            np.testing.assert_allclose(est, want, rtol=1e-12, atol=0.0)
+            if values.size == 1:
+                assert np.all(np.isnan(se))
+            else:
+                assert np.all(se == 0.0)
 
-CASES = pytest.mark.parametrize("coeff,side", [
-    (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1),
-], ids=["independent", "signed-right", "signed-left"])
+    def test_certain_level_gives_one(self):
+        # states are >= 0.4 and so are A and B, so Ay + B > 0.5 is certain;
+        # on this batch the weights' dot product with v = 1 rounds to 1 + eps
+        batch = sample_stationary_chain(INDEP_FAMILY, SimConfig(n_samples=50_000, seed=42))
+        est, se = smoothed_tail(batch, INDEP, AFFINE, [0.3, 0.5])
+        assert np.all(est == 1.0) and np.all(se == 0.0)
+
+    @CASES
+    def test_matches_per_sample_interpolation(self, coeff, side):
+        # the per-batch weights and the tridiagonal variance form against
+        # np.interp at every sample of the same grid, then mean and std
+        batch = _chain_batch(coeff, 50_000)
+        ts = np.concatenate([[1.2, 1.8], default_grid(batch, side=side)])
+        est, se = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
+        g = np.asinh(batch.values)
+        grid_g = np.linspace(g.min(), g.max(), engine._SMOOTH_GRID)
+        for i, t in enumerate(ts):
+            v = conditional_tail(coeff, AFFINE, t, np.sinh(grid_g), side=side)
+            vals = np.interp(g, grid_g, v)
+            np.testing.assert_allclose(est[i], vals.mean(), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(
+                se[i], vals.std(ddof=1) / math.sqrt(vals.size), rtol=1e-12, atol=0.0
+            )
 
 
 class TestQuadratureBlocking:

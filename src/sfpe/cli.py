@@ -159,25 +159,36 @@ def _parse_side(cfg: ExperimentConfig):
     return +1 if side == "right" else -1
 
 
-def _grid_for(cfg: ExperimentConfig, batch, side):
+def _grid_rule(cfg: ExperimentConfig):
+    """[analysis] t_grid, checked before any sampling: a function of
+    (batch, side) that returns the grid."""
     rule = cfg.get("analysis", "t_grid", default="quantile(lo=0.99, hi_exceed=300, points=20)")
     m = _GRID_RE.match(rule.strip())
     if m:
         try:
-            return tailstats.default_grid(
-                batch, float(m.group(1)), int(m.group(2)), int(m.group(3)), side=side
-            )
-        except ValueError as exc:
-            raise theory.PreconditionError(
-                f"no usable tail on this side of the batch: {exc}"
-            ) from None
+            lo = float(m.group(1))
+        except ValueError:
+            raise ConfigError(f"bad t_grid rule {rule!r}") from None
+        hi_exceed, points = int(m.group(2)), int(m.group(3))
+        if not (0.0 < lo < 1.0 and points >= 1):
+            raise ConfigError(f"t_grid rule {rule!r} needs 0 < lo < 1 and points >= 1")
+
+        def quantile_grid(batch, side):
+            try:
+                return tailstats.default_grid(batch, lo, hi_exceed, points, side=side)
+            except ValueError as exc:
+                raise theory.PreconditionError(
+                    f"no usable tail on this side of the batch: {exc}"
+                ) from None
+
+        return quantile_grid
     try:
         grid = np.array([float(x) for x in rule.split(",")])
     except ValueError:
         raise ConfigError(f"bad t_grid rule {rule!r}") from None
     if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
         raise ConfigError(f"t_grid {rule!r} must be finite and strictly increasing")
-    return grid
+    return lambda batch, side: grid
 
 
 def _out_dir(cfg, args):
@@ -236,9 +247,10 @@ def _estimate_curves(cfg, family, sim_cfg, side):
     """Smoothed survival of the requested tail on the configured grid, or
     the empirical one where the family has no closed-form conditional tail;
     and its ratio curve against P[A > t]."""
+    grid_for = _grid_rule(cfg)
     workers = cfg.get_int("sim", "workers", default=1)
     batch = _run_batch(family, sim_cfg, workers)
-    grid = _grid_for(cfg, batch, side)
+    grid = grid_for(batch, side)
     try:
         est = tailstats.smoothed_survival(
             batch, family.coeff, family.kind, grid, side=side
@@ -326,6 +338,8 @@ def cmd_dist_check(cfg, args):
             ok &= dec
         elif check == "product":
             n_mc = cfg.get_int("analysis", "n_products", default=1_000_000)
+            if n_mc < 2:
+                raise ConfigError("[analysis] n_products must be >= 2")
             rep = theory.product_convolution_check(model, alpha, [2, 4, 8, 15], n_mc, rng)
             lines.append(f"product,final_ratio,{float(rep.estimates[-1])!r},{int(rep.passed)}")
             lines.append(f"product,target,{rep.target!r},{int(rep.passed)}")

@@ -4,11 +4,11 @@ One sampler: independent replica chains.  The truncated perpetuity (affine
 maps only) is that chain run K steps from 0, with K from the remainder
 bound.  On top of a batch, the Rao-Blackwellized (smoothed) tail estimator
 averages the closed-form one-step tail over the samples, interpolated on one
-grid per batch: the interpolation weights are built once per batch, and
-each level evaluates the one-step tail on the grid alone, never on the
-samples.  Sampling is chunked; each chunk owns a counter-based Philox
-stream keyed by (seed, chunk_index), so results are bit-identical for any
-worker count.
+grid per batch for every family that has one: the interpolation weights are
+built once per batch, and each level evaluates the one-step tail on the grid
+alone, never on the samples.  Sampling is chunked; each chunk owns a
+counter-based Philox stream keyed by (seed, chunk_index), so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -389,44 +389,37 @@ def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t_grid, side=+
     indicator estimator.
 
     Returns (estimates, standard errors), one per t; a single sample has
-    standard error nan.  Where the conditional tail has a closed form (equal
-    coefficients, constant B) it is evaluated at every sample.  Otherwise it
-    (a smooth monotone function of y) is linearly interpolated from one
-    dense asinh-spaced grid over the batch's range; the grid error is far
-    below Monte Carlo noise.  The interpolation weights are built once per
-    batch, so each t costs the one-step tail on every grid node and two dot
-    products, whatever the batch size and however the samples spread over
-    the grid (nodes without samples have weight 0; skipping them would make
-    the cost follow the sample extremes).  The variance is taken about the
-    mean on the nodes, which interpolation carries over to the samples
-    exactly.
+    standard error nan.  The closed-form conditional tail (a smooth monotone
+    function of y) is linearly interpolated from one dense asinh-spaced grid
+    over the batch's range; the grid error is far below Monte Carlo noise.
+    The interpolation weights are built once per batch, so each t costs the
+    one-step tail on every grid node and a few dot products, whatever the
+    batch size and however the samples spread over the grid (nodes without
+    samples have weight 0; skipping them would make the cost follow the
+    sample extremes).  The weights sum to 1 only up to rounding, so the mean
+    takes one refinement step, m + w . (v - m), which makes it exact where
+    v is constant on the nodes.  The variance is taken about that mean,
+    which interpolation carries over to the samples exactly.
     """
     y = np.asarray(batch.values, dtype=float)
     n = y.size
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    exact = (kind == AFFINE and coeff.dependence == EQUAL) or isinstance(
-        coeff.marginal_b, Constant
-    )
-    if not exact:
-        # asinh scale covers signed, heavy-tailed sample ranges gracefully
-        g = np.asinh(y)
-        grid_g = np.linspace(float(g.min()), float(g.max()), _SMOOTH_GRID)
-        w, d, o = _interp_weights(g, grid_g)
-        grid_y = np.sinh(grid_g)
+    # asinh scale covers signed, heavy-tailed sample ranges gracefully
+    g = np.asinh(y)
+    grid_g = np.linspace(float(g.min()), float(g.max()), _SMOOTH_GRID)
+    w, d, o = _interp_weights(g, grid_g)
+    grid_y = np.sinh(grid_g)
     est = np.empty(t_grid.shape)
     se = np.empty(t_grid.shape)
     for i, t in enumerate(t_grid):
-        if exact:
-            vals = conditional_tail(coeff, kind, float(t), y, side=side)
-            est[i] = vals.mean()
-            se[i] = vals.std(ddof=1) / math.sqrt(vals.size)
-        else:
-            v = conditional_tail(coeff, kind, float(t), grid_y, side=side)
-            # a mean of probabilities; the dot product can round above 1
-            est[i] = m = min(w @ v, 1.0)
-            c = v - m
-            ss = d @ (c * c) + 2.0 * (o @ (c[:-1] * c[1:]))
-            se[i] = math.sqrt(max(ss, 0.0) / (n - 1) / n) if n > 1 else math.nan
+        v = conditional_tail(coeff, kind, float(t), grid_y, side=side)
+        m = w @ v
+        m += w @ (v - m)
+        # a mean of probabilities; the dot products can round above 1
+        est[i] = m = min(m, 1.0)
+        c = v - m
+        ss = d @ (c * c) + 2.0 * (o @ (c[:-1] * c[1:]))
+        se[i] = math.sqrt(max(ss, 0.0) / (n - 1) / n) if n > 1 else math.nan
     return est, se
 
 

@@ -75,7 +75,12 @@ class TestConfig:
         path = config_file(BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = rght"))
         for command in ("estimate", "verify"):
             assert main([command, "--config", path]) == EXIT_CONFIG
-        for grid in ("5,3", "nan,2", "2,inf"):
+        for grid in (
+            "5,3", "nan,2", "2,inf",
+            "quantile(lo=-0.5, hi_exceed=300, points=20)",
+            "quantile(lo=0.99, hi_exceed=300, points=0)",
+            "quantile(lo=1.5, hi_exceed=300, points=20)",
+        ):
             path = config_file(BASE_CONFIG.replace("sigma = 0.45", f"sigma = 0.45\nt_grid = {grid}"))
             for command in ("estimate", "verify"):
                 assert main([command, "--config", path]) == EXIT_CONFIG, (grid, command)
@@ -207,6 +212,23 @@ class TestDistCheck:
             "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)", "a = exp_poly(alpha=1.0, p=-2.0, t0=1.0)"
         ).replace("alpha = 2.0", "alpha = 1.0\nchecks = dom")
         assert main(["dist-check", "--config", config_file(text)]) == EXIT_OK
+
+    def test_too_few_products_is_config_error(self, config_file):
+        for n in (0, 1):
+            text = BASE_CONFIG.replace(
+                "alpha = 2.0", f"alpha = 2.0\nchecks = product\nn_products = {n}"
+            )
+            assert main(["dist-check", "--config", config_file(text)]) == EXIT_CONFIG, n
+
+    def test_convex_check_via_cli(self, config_file):
+        text = BASE_CONFIG.replace(
+            "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)",
+            "a = exp_stretched(alpha=1.0, beta=1.0, gamma=0.5, t0=1.0)",
+        ).replace("alpha = 2.0", "alpha = 1.0\nchecks = convex")
+        assert main(["dist-check", "--config", config_file(text)]) == EXIT_CONFIG
+        for gamma, code in (("0.5", EXIT_OK), ("1.0", EXIT_PRECONDITION)):
+            with_gamma = text.replace("checks = convex", f"checks = convex\ngamma = {gamma}")
+            assert main(["dist-check", "--config", config_file(with_gamma)]) == code, gamma
 
     def test_unknown_check(self, config_file):
         text = BASE_CONFIG.replace("alpha = 2.0", "alpha = 2.0\nchecks = entropy")

@@ -35,6 +35,8 @@ LP = LogPareto(2.0, 3.0, 0.4)
 INDEP = CoeffLaw(LP, LP, INDEPENDENT, c_b=1.0)
 INDEP_FAMILY = MapFamily(AFFINE, INDEP)
 SIGNED_COEFF = CoeffLaw(LP, LP, SIGNED, p_plus=0.75, c_b=1.0)
+EQUAL_COEFF = CoeffLaw(LP, LP, EQUAL)
+CONST_B = CoeffLaw(LP, Constant(1.0), INDEPENDENT)
 
 
 class TestSimConfig:
@@ -291,6 +293,10 @@ class TestConditionalTailQuadrature:
 CASES = pytest.mark.parametrize("coeff,side", [
     (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1),
 ], ids=["independent", "signed-right", "signed-left"])
+# CASES and the two laws whose one-step tail needs no quadrature
+ALL_CASES = pytest.mark.parametrize("coeff,side", [
+    (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1), (EQUAL_COEFF, +1), (CONST_B, +1),
+], ids=["independent", "signed-right", "signed-left", "equal", "constant-b"])
 
 
 class TestSmoothedTail:
@@ -310,7 +316,8 @@ class TestSmoothedTail:
     @pytest.mark.parametrize("n", [50_000, 300_000])
     @pytest.mark.parametrize("coeff,side,t", [
         (INDEP, +1, 8.0), (SIGNED_COEFF, +1, 8.0), (SIGNED_COEFF, -1, 4.0),
-    ], ids=["independent", "signed-right", "signed-left"])
+        (EQUAL_COEFF, +1, 8.0), (CONST_B, +1, 8.0),
+    ], ids=["independent", "signed-right", "signed-left", "equal", "constant-b"])
     def test_interpolation_matches_direct(self, coeff, side, t, n):
         # the grid estimate against the mean of the conditional tail at
         # every sample, in slices to bound memory
@@ -324,7 +331,7 @@ class TestSmoothedTail:
         assert est == pytest.approx(direct, rel=1e-5)
 
     @pytest.mark.filterwarnings("error")
-    @CASES
+    @ALL_CASES
     def test_equal_values_and_single_sample(self, coeff, side):
         # a batch of equal values has a zero-width grid: the conditional tail
         # at that value, with no spread; one sample has no standard error
@@ -345,8 +352,13 @@ class TestSmoothedTail:
         batch = sample_stationary_chain(INDEP_FAMILY, SimConfig(n_samples=50_000, seed=42))
         est, se = smoothed_tail(batch, INDEP, AFFINE, [0.3, 0.5])
         assert np.all(est == 1.0) and np.all(se == 0.0)
+        # with B = 1 the states are >= 1, so Ay + 1 > 1.2 is certain; on this
+        # batch the weights' dot product with v = 1 rounds to 1 - eps/2
+        batch = _chain_batch(CONST_B, 300_000)
+        est, se = smoothed_tail(batch, CONST_B, AFFINE, [0.5, 1.2])
+        assert np.all(est == 1.0) and np.all(se == 0.0)
 
-    @CASES
+    @ALL_CASES
     def test_matches_per_sample_interpolation(self, coeff, side):
         # the per-batch weights and the tridiagonal variance form against
         # np.interp at every sample of the same grid, then mean and std

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, tailstats, theory
+from . import csv_text, engine, tailstats, theory
 from .dist import parse_model
 from .maps import (
     AFFINE,
@@ -82,22 +82,19 @@ class ExperimentConfig:
             return default
 
     def get_float(self, section, key, default=None, required=False):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a real number") from None
+        return self._get_as(float, "a real number", section, key, default, required)
 
     def get_int(self, section, key, default=None, required=False):
+        return self._get_as(int, "an integer", section, key, default, required)
+
+    def _get_as(self, convert, what, section, key, default, required):
         raw = self.get(section, key, required=required)
         if raw is None:
             return default
         try:
-            return int(raw)
+            return convert(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer") from None
+            raise ConfigError(f"[{section}] {key} must be {what}") from None
 
 
 def _parse_dependence(text):
@@ -198,6 +195,13 @@ def _out_dir(cfg, args):
     return path
 
 
+def _workers(cfg: ExperimentConfig):
+    workers = cfg.get_int("sim", "workers", default=1)
+    if workers < 1:
+        raise ConfigError("[sim] workers must be >= 1")
+    return workers
+
+
 def _run_batch(family, sim_cfg, workers):
     if sim_cfg.method == engine.PERPETUITY:
         return engine.sample_perpetuity(family.coeff, sim_cfg, workers=workers)
@@ -226,7 +230,7 @@ def cmd_predict(cfg, args):
 def cmd_simulate(cfg, args):
     family = build_family(cfg)
     sim_cfg = build_sim_config(cfg, args.seed)
-    workers = cfg.get_int("sim", "workers", default=1)
+    workers = _workers(cfg)
     rng = engine._chunk_rng(sim_cfg.seed, 2**63)
     report = elton_precheck(family, 10000, rng)
     if not report.passed:
@@ -248,8 +252,7 @@ def _estimate_curves(cfg, family, sim_cfg, side):
     the empirical one where the family has no closed-form conditional tail;
     and its ratio curve against P[A > t]."""
     grid_for = _grid_rule(cfg)
-    workers = cfg.get_int("sim", "workers", default=1)
-    batch = _run_batch(family, sim_cfg, workers)
+    batch = _run_batch(family, sim_cfg, _workers(cfg))
     grid = grid_for(batch, side)
     try:
         est = tailstats.smoothed_survival(
@@ -302,12 +305,9 @@ def cmd_verify(cfg, args):
         ) from None
 
     ok_flags = np.abs(curve.ratio - predicted) <= tol * predicted
-    header, *rows = tailstats.estimate_to_csv(est, curve).splitlines()
-    lines = [header + ",predicted,pass"] + [
-        f"{row},{float(predicted)!r},{int(ok)}" for row, ok in zip(rows, ok_flags)
-    ]
+    rows = [row + [predicted, ok] for row, ok in zip(tailstats.estimate_rows(est, curve), ok_flags)]
     out = _out_dir(cfg, args) / "verify.csv"
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(csv_text(tailstats.ESTIMATE_HEADER + ",predicted,pass", rows))
     print(
         f"predicted {predicted!r}; ratio at final reliable t={est.t_grid[final]:.4g}: "
         f"{curve.ratio[final]:.6g} "
@@ -317,6 +317,9 @@ def cmd_verify(cfg, args):
     return EXIT_OK if ok_flags[final] else EXIT_ASSERTION
 
 
+_DIST_CHECKS = ("uniformity", "product", "dom", "convex", "convolution", "smallint")
+
+
 def cmd_dist_check(cfg, args):
     model = parse_model(cfg.get("model", "a", required=True))
     alpha = cfg.get_float("analysis", "alpha", required=True)
@@ -324,52 +327,50 @@ def cmd_dist_check(cfg, args):
         s.strip()
         for s in cfg.get("analysis", "checks", default="uniformity,product").split(",")
     ]
+    # the whole config is checked before the first check runs
+    for check in checks:
+        if check not in _DIST_CHECKS:
+            raise ConfigError(f"unknown check {check!r}")
+    if "product" in checks:
+        n_mc = cfg.get_int("analysis", "n_products", default=1_000_000)
+        if n_mc < 2:
+            raise ConfigError("[analysis] n_products must be >= 2")
+    if "convex" in checks:
+        gamma = cfg.get_float("analysis", "gamma", required=True)
     seed = args.seed if args.seed is not None else cfg.get_int("sim", "seed", default=0)
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must be in [0, 2**64)")
     rng = np.random.default_rng(seed)
-    lines = ["check,detail,value,pass"]
+    rows = []
     ok = True
     for check in checks:
         if check == "uniformity":
             rep = theory.rv_uniformity_check(model, alpha, 0.1, [1e2, 1e3, 1e4])
-            dec = rep.strictly_decreasing or rep.sup_dev[-1] < 1e-12
-            lines.append(f"uniformity,sup_dev_final,{float(rep.sup_dev[-1])!r},{int(dec)}")
-            ok &= dec
+            passed = rep.strictly_decreasing or rep.sup_dev[-1] < 1e-12
+            values = {"sup_dev_final": rep.sup_dev[-1]}
         elif check == "product":
-            n_mc = cfg.get_int("analysis", "n_products", default=1_000_000)
-            if n_mc < 2:
-                raise ConfigError("[analysis] n_products must be >= 2")
             rep = theory.product_convolution_check(model, alpha, [2, 4, 8, 15], n_mc, rng)
-            lines.append(f"product,final_ratio,{float(rep.estimates[-1])!r},{int(rep.passed)}")
-            lines.append(f"product,target,{rep.target!r},{int(rep.passed)}")
-            ok &= rep.passed
+            passed, values = rep.passed, {"final_ratio": rep.estimates[-1], "target": rep.target}
         elif check == "dom":
             rep = theory.salpha_check_dom(model, alpha)
-            lines.append(f"dom,integral_increment,{rep.integral_increment!r},{int(rep.passed)}")
-            ok &= rep.passed
+            passed, values = rep.passed, {"integral_increment": rep.integral_increment}
         elif check == "convex":
-            gamma = cfg.get_float("analysis", "gamma", required=True)
             rep = theory.salpha_check_convex(model, alpha, gamma)
-            lines.append(f"convex,sup_dev_final,{rep.sup_dev_final!r},{int(rep.passed)}")
-            ok &= rep.passed
+            passed, values = rep.passed, {"sup_dev_final": rep.sup_dev_final}
         elif check == "convolution":
             rep = theory.convolution_limit_check(
                 model, model, model, 1.0, 1.0, alpha, [20, 40, 80, 160]
             )
-            lines.append(f"convolution,final_ratio,{float(rep.estimates[-1])!r},{int(rep.passed)}")
-            lines.append(f"convolution,target,{rep.target!r},{int(rep.passed)}")
-            ok &= rep.passed
-        elif check == "smallint":
-            mat, stab, vmono = theory.appendix_smallint_diagnostic(
+            passed, values = rep.passed, {"final_ratio": rep.estimates[-1], "target": rep.target}
+        else:  # smallint
+            mat, _, passed = theory.appendix_smallint_diagnostic(
                 model, alpha, [1, 2, 4], [20, 40, 80, 160]
             )
-            lines.append(f"smallint,v_monotone,{float(mat[-1][-1])!r},{int(vmono)}")
-            ok &= vmono
-        else:
-            raise ConfigError(f"unknown check {check!r}")
+            values = {"v_monotone": mat[-1][-1]}
+        rows.extend([check, detail, value, passed] for detail, value in values.items())
+        ok &= passed
     out = _out_dir(cfg, args) / "dist_check.csv"
-    out.write_text("\n".join(lines) + "\n")
+    out.write_text(csv_text("check,detail,value,pass", rows))
     print(f"wrote {out}")
     return EXIT_OK if ok else EXIT_ASSERTION
 

@@ -1,10 +1,23 @@
 """Parametric heavy-tailed distribution families with exact survival functions.
 
 Every model exposes the same small surface: ``survival`` (exact, vectorized),
-``quantile`` (inverse survival), ``sample`` (inverse transform), ``alpha_moment``
-(power moments E[X^s], closed form where available, adaptive quadrature
-otherwise) and ``exp_moment`` (exponential moments E[e^{sX}]).  Models are
-immutable after construction and safe to share between workers.
+``log_survival``, ``quantile`` (inverse survival), ``sample`` (inverse
+transform), ``alpha_moment`` (power moments E[X^s], closed form where
+available, adaptive quadrature otherwise), ``exp_moment`` (exponential
+moments E[e^{sX}]) and ``params``.  Models are immutable after construction
+and safe to share between workers.
+
+A family states only its parameters (the dataclass fields, checked in
+``__post_init__``), its ``support_low`` and three formulas: ``_tail(t)``,
+S(t) for t > support_low; ``_log_tail(t)``, log S(t) for t >= support_low;
+and ``_inverse(u)``, the t with S(t) = u.  `TailModel` owns the rest:
+``survival`` is 1 up to support_low and ``_tail`` above it, ``log_survival``
+is ``_log_tail`` at max(t, support_low), ``quantile`` rejects u outside
+(0, 1] before it calls ``_inverse``, all three return a float for a scalar
+and an array of the same shape for an array, and ``params`` and the keys
+``parse_model`` accepts are the dataclass fields.  ``Constant`` keeps its
+own ``survival`` and ``log_survival``, since a point mass has survival 0 at
+c itself.
 
 The LogPareto and ExpPoly quantiles are the hot kernel of the sampler and
 of the smoothing quadrature.  Both reduce to a v + b log1p(v) = -log u and
@@ -18,7 +31,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 from scipy.integrate import quad
@@ -120,8 +134,14 @@ def _solve_log1p(a, b, u, max_iter=60, tol=1e-15):
     return root
 
 
+def _scalar(out):
+    """A float for a scalar input, the array otherwise."""
+    return out if np.ndim(out) else float(out)
+
+
 class TailModel:
-    """Base class for right-unbounded parametric survival models."""
+    """Base class for right-unbounded parametric survival models; the module
+    docstring says what a family states and what this class owns."""
 
     family: str = "base"
 
@@ -130,29 +150,35 @@ class TailModel:
         raise NotImplementedError
 
     def params(self) -> dict:
-        raise NotImplementedError
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def survival(self, t):
-        """P[X > t], exact, scalar or array."""
-        raise NotImplementedError
+        """P[X > t], exact: 1 up to `support_low`, `_tail` above it."""
+        t = np.asarray(t, dtype=float)
+        out = np.ones_like(t)
+        m = t > self.support_low
+        out[m] = self._tail(t[m])
+        return _scalar(out)
 
     def log_survival(self, t):
-        """log P[X > t], computed without underflow where the family allows."""
+        """log P[X > t] without underflow: `_log_tail` at max(t, support_low)."""
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.log(self.survival(t))
-        return out if np.ndim(out) else float(out)
+        return _scalar(self._log_tail(np.maximum(t, self.support_low)))
 
     def log_survival_logx(self, u):
         """log P[X > e^u]; overridden where e^u would overflow prematurely."""
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore"):
-            out = self.log_survival(np.exp(u))
-        return out if np.ndim(out) else float(out)
+            return _scalar(self.log_survival(np.exp(u)))
 
     def quantile(self, u):
         """t with survival(t) = u, for u in (0, 1]."""
-        raise NotImplementedError
+        u = np.asarray(u, dtype=float)
+        if np.any(u <= 0.0):
+            raise ValueError("unbounded quantile: u must be in (0, 1]")
+        if np.any(u > 1.0):
+            raise ValueError("quantile domain error: u must be in (0, 1]")
+        return _scalar(self._inverse(u))
 
     def alpha_moment(self, s: float) -> float:
         """E[X^s] for s >= 0; +inf when the moment diverges.  Adaptive
@@ -176,14 +202,15 @@ class TailModel:
         """E[e^{sX}] for s >= 0; +inf when divergent.  Where the family has
         no closed form: e^{s t0} + s times the adaptive quadrature of
         e^{st} S(t) above t0, for the exponential families with rate alpha,
-        where e^{st} S(t) decays (s < alpha) or is integrable (s = alpha)."""
+        where e^{st} S(t) decays (s < alpha) or is integrable (s = alpha);
+        as exp(st + log S(t)), since e^{st} alone overflows far out."""
         if s < 0:
             raise ValueError("s must be >= 0")
         if s > self.alpha:
             return math.inf
         t0 = self.support_low
         val, _ = quad(
-            lambda t: math.exp(s * t) * float(self.survival(t)),
+            lambda t: math.exp(s * t + self.log_survival(t)),
             t0,
             math.inf,
             epsrel=_QUAD_RELTOL,
@@ -195,17 +222,16 @@ class TailModel:
         """Inverse-transform draws; U uniform on (0, 1]."""
         return self.quantile(1.0 - rng.random(n))
 
-    def _check_u(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0):
-            raise ValueError("unbounded quantile: u must be in (0, 1]")
-        if np.any(u > 1.0):
-            raise ValueError("quantile domain error: u must be in (0, 1]")
-        return u
-
     def __repr__(self):  # pragma: no cover
         inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
         return f"{type(self).__name__}({inner})"
+
+
+def _power_tail_exp_moment(model, s):
+    """E[e^{sX}] of a regularly varying X: 1 at s = 0, +inf for s > 0."""
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    return math.exp(s * model.x0) if s == 0.0 else math.inf
 
 
 @dataclass(frozen=True, repr=False)
@@ -216,40 +242,27 @@ class Pareto(TailModel):
     x0: float
 
     family = "pareto"
+    support_low = property(attrgetter("x0"))
+    exp_moment = _power_tail_exp_moment
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.x0 > 0):
             raise InvalidParameterError("pareto requires alpha > 0 and x0 > 0")
 
-    @property
-    def support_low(self):
-        return self.x0
+    def _tail(self, t):
+        return (self.x0 / t) ** self.alpha
 
-    def params(self):
-        return {"alpha": self.alpha, "x0": self.x0}
-
-    def survival(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        m = t > self.x0
-        out[m] = (self.x0 / t[m]) ** self.alpha
-        return out if out.ndim else float(out)
-
-    def log_survival(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t > self.x0, self.alpha * (math.log(self.x0) - np.log(t)), 0.0)
-        return out if out.ndim else float(out)
+    def _log_tail(self, t):
+        # np.log for both logs, so that log S(x0) is exactly 0
+        return self.alpha * (np.log(self.x0) - np.log(t))
 
     def log_survival_logx(self, u):
         u = np.asarray(u, dtype=float)
         lx0 = math.log(self.x0)
-        out = np.where(u > lx0, self.alpha * (lx0 - u), 0.0)
-        return out if out.ndim else float(out)
+        return _scalar(np.where(u > lx0, self.alpha * (lx0 - u), 0.0))
 
-    def quantile(self, u):
-        u = self._check_u(u)
-        out = self.x0 * u ** (-1.0 / self.alpha)
-        return out if out.ndim else float(out)
+    def _inverse(self, u):
+        return self.x0 * u ** (-1.0 / self.alpha)
 
     def alpha_moment(self, s):
         if s < 0:
@@ -257,11 +270,6 @@ class Pareto(TailModel):
         if s >= self.alpha:
             return math.inf
         return self.alpha * self.x0**s / (self.alpha - s)
-
-    def exp_moment(self, s):
-        if s < 0:
-            raise ValueError("s must be >= 0")
-        return math.exp(s * self.x0) if s == 0.0 else math.inf
 
 
 @dataclass(frozen=True, repr=False)
@@ -277,6 +285,8 @@ class LogPareto(TailModel):
     x0: float
 
     family = "log_pareto"
+    support_low = property(attrgetter("x0"))
+    exp_moment = _power_tail_exp_moment
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 1 and self.x0 > 0):
@@ -284,41 +294,23 @@ class LogPareto(TailModel):
                 "log_pareto requires alpha > 0, beta > 1, x0 > 0"
             )
 
-    @property
-    def support_low(self):
-        return self.x0
+    def _tail(self, t):
+        return (self.x0 / t) ** self.alpha * (1.0 + np.log(t / self.x0)) ** (-self.beta)
 
-    def params(self):
-        return {"alpha": self.alpha, "beta": self.beta, "x0": self.x0}
-
-    def survival(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        m = t > self.x0
-        tm = t[m]
-        out[m] = (self.x0 / tm) ** self.alpha * (
-            1.0 + np.log(tm / self.x0)
-        ) ** (-self.beta)
-        return out if out.ndim else float(out)
-
-    def log_survival(self, t):
-        t = np.asarray(t, dtype=float)
-        lr = np.log(np.maximum(t / self.x0, 1.0))
-        out = -self.alpha * lr - self.beta * np.log1p(lr)
-        return out if out.ndim else float(out)
+    def _log_tail(self, t):
+        lr = np.log(t / self.x0)
+        return -self.alpha * lr - self.beta * np.log1p(lr)
 
     def log_survival_logx(self, u):
         u = np.asarray(u, dtype=float)
         lr = np.maximum(u - math.log(self.x0), 0.0)
-        out = -self.alpha * lr - self.beta * np.log1p(lr)
-        return out if out.ndim else float(out)
+        return _scalar(-self.alpha * lr - self.beta * np.log1p(lr))
 
-    def quantile(self, u):
-        u = self._check_u(u)
+    def _inverse(self, u):
         out = _solve_log1p(self.alpha, self.beta, u)  # log(t / x0)
         np.exp(out, out=out)
         out *= self.x0
-        return out if out.ndim else float(out)
+        return out
 
     def alpha_moment(self, s):
         if s < 0:
@@ -338,11 +330,6 @@ class LogPareto(TailModel):
         )
         return self.x0**s * (1.0 + s * val)
 
-    def exp_moment(self, s):
-        if s < 0:
-            raise ValueError("s must be >= 0")
-        return math.exp(s * self.x0) if s == 0.0 else math.inf
-
 
 @dataclass(frozen=True, repr=False)
 class ExpPoly(TailModel):
@@ -356,6 +343,7 @@ class ExpPoly(TailModel):
     t0: float
 
     family = "exp_poly"
+    support_low = property(attrgetter("t0"))
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.p < -1 and self.t0 > 0):
@@ -363,34 +351,18 @@ class ExpPoly(TailModel):
                 "exp_poly requires alpha > 0, p < -1, t0 > 0"
             )
 
-    @property
-    def support_low(self):
-        return self.t0
+    def _tail(self, t):
+        return (t / self.t0) ** self.p * np.exp(-self.alpha * (t - self.t0))
 
-    def params(self):
-        return {"alpha": self.alpha, "p": self.p, "t0": self.t0}
+    def _log_tail(self, t):
+        return self.p * np.log(t / self.t0) - self.alpha * (t - self.t0)
 
-    def survival(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        m = t > self.t0
-        tm = t[m]
-        out[m] = (tm / self.t0) ** self.p * np.exp(-self.alpha * (tm - self.t0))
-        return out if out.ndim else float(out)
-
-    def log_survival(self, t):
-        t = np.asarray(t, dtype=float)
-        tm = np.maximum(t, self.t0)
-        out = self.p * np.log(tm / self.t0) - self.alpha * (tm - self.t0)
-        return out if out.ndim else float(out)
-
-    def quantile(self, u):
+    def _inverse(self, u):
         # a z + q log1p(z / t0) = -log u, solved for v = z / t0
-        u = self._check_u(u)
         out = _solve_log1p(self.alpha * self.t0, -self.p, u)
         out *= self.t0
         out += self.t0
-        return out if out.ndim else float(out)
+        return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -403,6 +375,7 @@ class ExpStretched(TailModel):
     t0: float
 
     family = "exp_stretched"
+    support_low = property(attrgetter("t0"))
 
     def __post_init__(self):
         if not (
@@ -412,39 +385,15 @@ class ExpStretched(TailModel):
                 "exp_stretched requires alpha, beta > 0, gamma in (0,1), t0 > 0"
             )
 
-    @property
-    def support_low(self):
-        return self.t0
+    def _tail(self, t):
+        return np.exp(self._log_tail(t))
 
-    def params(self):
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "t0": self.t0,
-        }
-
-    def survival(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        m = t > self.t0
-        tm = t[m]
-        out[m] = np.exp(
-            -self.alpha * (tm - self.t0)
-            - self.beta * (tm**self.gamma - self.t0**self.gamma)
+    def _log_tail(self, t):
+        return -self.alpha * (t - self.t0) - self.beta * (
+            t**self.gamma - self.t0**self.gamma
         )
-        return out if out.ndim else float(out)
 
-    def log_survival(self, t):
-        t = np.asarray(t, dtype=float)
-        tm = np.maximum(t, self.t0)
-        out = -self.alpha * (tm - self.t0) - self.beta * (
-            tm**self.gamma - self.t0**self.gamma
-        )
-        return out if out.ndim else float(out)
-
-    def quantile(self, u):
-        u = self._check_u(u)
+    def _inverse(self, u):
         a, b, g, t0 = self.alpha, self.beta, self.gamma, self.t0
         w = -np.log(u)
         z = _newton_concave_increasing(
@@ -453,34 +402,29 @@ class ExpStretched(TailModel):
             w,
             w / a,
         )
-        out = t0 + z
-        return out if out.ndim else float(out)
+        return t0 + z
 
 
 @dataclass(frozen=True, repr=False)
 class Constant(TailModel):
-    """Point mass at c (degenerate coefficient, e.g. B = 1)."""
+    """Point mass at c (degenerate coefficient, e.g. B = 1).  It keeps its
+    own survival, since a point mass has survival 0 at c itself."""
 
     c: float
 
     family = "constant"
-
-    @property
-    def support_low(self):
-        return self.c
-
-    def params(self):
-        return {"c": self.c}
+    support_low = property(attrgetter("c"))
 
     def survival(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.where(t < self.c, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return _scalar(np.where(t < self.c, 1.0, 0.0))
 
-    def quantile(self, u):
-        u = self._check_u(u)
-        out = np.full_like(u, self.c)
-        return out if out.ndim else float(out)
+    def log_survival(self, t):
+        with np.errstate(divide="ignore"):
+            return _scalar(np.log(self.survival(t)))
+
+    def _inverse(self, u):
+        return np.full_like(u, self.c)
 
     def alpha_moment(self, s):
         if s < 0:
@@ -518,15 +462,13 @@ class LogView:
     def survival(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore"):
-            out = self.base.survival(np.exp(t))
-        return out if np.ndim(out) else float(out)
+            return _scalar(self.base.survival(np.exp(t)))
 
     def log_survival(self, t):
         return self.base.log_survival_logx(t)
 
     def quantile(self, u):
-        out = np.log(self.base.quantile(u))
-        return out if np.ndim(out) else float(out)
+        return _scalar(np.log(self.base.quantile(u)))
 
     def exp_moment(self, s):
         return self.base.alpha_moment(s)
@@ -543,11 +485,7 @@ def log_view(model: TailModel) -> LogView:
 # --- model specification grammar: family(key=value, ...) ------------------
 
 _FAMILIES = {
-    "pareto": (Pareto, ("alpha", "x0")),
-    "log_pareto": (LogPareto, ("alpha", "beta", "x0")),
-    "exp_poly": (ExpPoly, ("alpha", "p", "t0")),
-    "exp_stretched": (ExpStretched, ("alpha", "beta", "gamma", "t0")),
-    "constant": (Constant, ("c",)),
+    cls.family: cls for cls in (Pareto, LogPareto, ExpPoly, ExpStretched, Constant)
 }
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^()]*)\)\s*$")
@@ -561,7 +499,8 @@ def parse_model(text: str) -> TailModel:
     name, body = m.group(1), m.group(2)
     if name not in _FAMILIES:
         raise ValueError(f"unknown model family: {name!r}")
-    cls, keys = _FAMILIES[name]
+    cls = _FAMILIES[name]
+    keys = [f.name for f in fields(cls)]
     kwargs = {}
     for part in filter(None, (p.strip() for p in body.split(","))):
         if "=" not in part:

@@ -121,6 +121,7 @@ def _chain_chunk(args):
 
 def _run_chunks(jobs, n_total, workers=1):
     out = np.empty(n_total)
+    workers = min(workers, len(jobs))  # a fork pool starts all its processes at once
     if workers <= 1:
         results = map(_chain_chunk, jobs)
     else:

@@ -7,11 +7,11 @@ functionals with jackknife standard errors.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import csv_text
 from .dist import TailModel
 from .engine import SampleBatch, smoothed_tail
 
@@ -26,6 +26,8 @@ __all__ = [
     "plugin_moment",
     "default_grid",
     "reliable_index",
+    "ESTIMATE_HEADER",
+    "estimate_rows",
     "estimate_to_csv",
 ]
 
@@ -178,15 +180,17 @@ def reliable_index(est: TailEstimate, min_exceed=RELIABLE_EXCEED):
     return int(ok[-1])
 
 
+ESTIMATE_HEADER = "t,p_hat,ci_lo,ci_hi,n_exceed,ref_tail,ratio,ratio_ci_lo,ratio_ci_hi"
+
+
+def estimate_rows(est: TailEstimate, curve: RatioCurve) -> list:
+    """One row of values per grid point, in the columns of ESTIMATE_HEADER."""
+    return [
+        [est.t_grid[i], est.p_hat[i], est.ci_lo[i], est.ci_hi[i], int(est.n_exceed[i]),
+         curve.ref_tail[i], curve.ratio[i], curve.ci_lo[i], curve.ci_hi[i]]
+        for i in range(est.t_grid.size)
+    ]
+
+
 def estimate_to_csv(est: TailEstimate, curve: RatioCurve) -> str:
-    buf = io.StringIO()
-    buf.write("t,p_hat,ci_lo,ci_hi,n_exceed,ref_tail,ratio,ratio_ci_lo,ratio_ci_hi\n")
-    for i in range(est.t_grid.size):
-        row = [
-            est.t_grid[i], est.p_hat[i], est.ci_lo[i], est.ci_hi[i],
-            int(est.n_exceed[i]), curve.ref_tail[i], curve.ratio[i],
-            curve.ci_lo[i], curve.ci_hi[i],
-        ]
-        buf.write(",".join(repr(float(v)) if not isinstance(v, int) else str(v) for v in row))
-        buf.write("\n")
-    return buf.getvalue()
+    return csv_text(ESTIMATE_HEADER, estimate_rows(est, curve))

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import csv_text
 from .dist import Constant, TailModel
 
 __all__ = [
@@ -53,17 +54,12 @@ class Prediction:
     reference: str  # which marginal tail normalizes the ratio: "A" or "B"
     inputs: dict = field(default_factory=dict)
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.regime},{self.constant!r},{self.reference},"
-            f"{json.dumps(self.inputs, sort_keys=True)}"
-        )
-
 
 def predictions_to_csv(preds) -> str:
-    lines = ["regime,constant,reference,inputs_json"]
-    lines.extend(p.csv_row() for p in preds)
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "regime,constant,reference,inputs_json",
+        [[p.regime, p.constant, p.reference, json.dumps(p.inputs, sort_keys=True)] for p in preds],
+    )
 
 
 # --- regime constants -------------------------------------------------------

@@ -1,9 +1,11 @@
 import configparser
 import io
+import math
 
 import numpy as np
 import pytest
 
+from sfpe import theory
 from sfpe.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
@@ -233,3 +235,40 @@ class TestDistCheck:
     def test_unknown_check(self, config_file):
         text = BASE_CONFIG.replace("alpha = 2.0", "alpha = 2.0\nchecks = entropy")
         assert main(["dist-check", "--config", config_file(text)]) == EXIT_CONFIG
+
+    def test_whole_config_checked_before_any_check_runs(self, config_file, monkeypatch):
+        calls = []
+        monkeypatch.setattr(theory, "rv_uniformity_check", lambda *a, **k: calls.append(a))
+        for extra in (
+            "checks = uniformity,entropy",
+            "checks = uniformity,product\nn_products = 1",
+            "checks = uniformity,convex",
+        ):
+            text = BASE_CONFIG.replace("alpha = 2.0", f"alpha = 2.0\n{extra}")
+            assert main(["dist-check", "--config", config_file(text)]) == EXIT_CONFIG, extra
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "spec, alpha",
+        [
+            ("exp_stretched(alpha=1.0, beta=1.0, gamma=0.5, t0=1.0)", "1.0"),
+            ("exp_poly(alpha=1.0, p=-2.0, t0=1.0)", "0.5"),
+        ],
+    )
+    def test_convolution_check_has_finite_target(self, config_file, tmp_path, spec, alpha):
+        # the exponential moment below (or, stretched, at) alpha is finite
+        text = BASE_CONFIG.replace(
+            "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)", f"a = {spec}"
+        ).replace("alpha = 2.0", f"alpha = {alpha}\nchecks = convolution")
+        assert main(["dist-check", "--config", config_file(text)]) in (EXIT_OK, EXIT_ASSERTION)
+        rows = (tmp_path / "out" / "dist_check.csv").read_text().strip().split("\n")
+        assert rows[2].startswith("convolution,target,")
+        assert math.isfinite(float(rows[2].split(",")[2]))
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "verify"])
+    def test_fewer_than_one_worker_is_config_error(self, config_file, command):
+        for workers in ("0", "-3"):
+            text = BASE_CONFIG.replace("workers = 1", f"workers = {workers}")
+            assert main([command, "--config", config_file(text)]) == EXIT_CONFIG, workers

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expn
 
 from sfpe.dist import (
     Constant,
@@ -245,6 +246,19 @@ class TestMoments:
         assert m.exp_moment(1.0) == pytest.approx(2.0 * math.e, rel=1e-8)
         assert m.exp_moment(1.5) == math.inf
 
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_exp_poly_exponential_moment_below_alpha(self, s):
+        # E[e^{sX}] = e^s + s int_1^inf e^{st} t^{-2} e^{-(t-1)} dt
+        #           = e^s + s e E_2(1 - s)
+        expected = math.exp(s) + s * math.e * expn(2, 1.0 - s)
+        assert ExpPoly(1.0, -2.0, 1.0).exp_moment(s) == pytest.approx(expected, rel=1e-12)
+
+    def test_exp_stretched_exponential_moment_at_alpha(self):
+        # E[e^X] = e + int_1^inf e^t e^{-(t-1) - (sqrt(t) - 1)} dt
+        #        = e + e^2 int_1^inf e^{-sqrt(t)} dt = e + e^2 (4/e) = 5e
+        m = ExpStretched(1.0, 1.0, 0.5, 1.0)
+        assert m.exp_moment(1.0) == pytest.approx(5.0 * math.e, rel=1e-12)
+
     def test_constant_moments(self):
         assert Constant(2.0).alpha_moment(2.0) == 4.0
         assert Constant(2.0).exp_moment(1.0) == pytest.approx(math.exp(2.0))
@@ -318,3 +332,42 @@ class TestModelGrammar:
             parse_model("pareto(alpha=2)")
         with pytest.raises(ValueError, match="unknown parameter"):
             parse_model("pareto(alpha=2, beta=3, x0=1)")
+
+
+class TestFamilyContract:
+    """What TailModel owns, checked on every family."""
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [Constant(1.5)])
+    def test_scalar_in_float_out_array_in_array_out(self, model):
+        t = 2.0 * model.support_low + 1.0
+        for method, x in ((model.survival, t), (model.log_survival, t), (model.quantile, 0.3)):
+            assert type(method(x)) is float
+            out = method(np.full((2, 3), x))
+            assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [Constant(1.5)])
+    def test_below_support(self, model):
+        below = np.array([-1.0, 0.0, 0.5 * model.support_low])
+        for t in (-1.0, 0.0, below):
+            assert np.all(model.survival(t) == 1.0)
+            assert np.all(model.log_survival(t) == 0.0)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [Constant(1.5)])
+    def test_quantile_domain(self, model):
+        for u in (0.0, 1.5, np.array([0.5, 0.0])):
+            with pytest.raises(ValueError, match="u must be in"):
+                model.quantile(u)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [Constant(1.5)])
+    def test_params_are_the_grammar_keys(self, model):
+        params = model.params()
+
+        def spec(items):
+            return f"{model.family}({', '.join(f'{k}={v!r}' for k, v in items)})"
+
+        assert parse_model(spec(params.items())) == model
+        for key in params:
+            with pytest.raises(ValueError, match="missing parameters"):
+                parse_model(spec((k, v) for k, v in params.items() if k != key))
+        with pytest.raises(ValueError, match="unknown parameter"):
+            parse_model(spec([*params.items(), ("extra", 1.0)]))

@@ -122,6 +122,33 @@ class TestChain:
             assert abs(p0 - p1) <= 3 * se
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    max_workers_seen = []
+
+    def __init__(self, max_workers):
+        self.max_workers_seen.append(max_workers)
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+    def shutdown(self):
+        pass
+
+
+class TestWorkerBound:
+    def test_at_most_one_process_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "max_workers_seen", [])
+        cfg = SimConfig(n_samples=4000, seed=3, burn_in=8, chunk_size=1000)
+        ref = sample_stationary_chain(INDEP_FAMILY, cfg, workers=1)
+        assert _SerialPool.max_workers_seen == []
+        many = sample_stationary_chain(INDEP_FAMILY, cfg, workers=10**6)
+        assert _SerialPool.max_workers_seen == [4]
+        assert many.values.tobytes() == ref.values.tobytes()
+
+
 class TestPerpetuity:
     def test_geometric_series(self):
         coeff = CoeffLaw(Constant(0.5), Constant(1.0), INDEPENDENT)

@@ -7,7 +7,11 @@ Commands:
   verify      predicted constant vs empirical ratio with CIs -> verify.csv
   dist-check  regular-variation / convolution-class diagnostics -> report
 
-Configs are sectioned key=value files ([model], [sim], [analysis], [output]).
+Configs are sectioned key=value files ([model], [sim], [analysis], [output])
+whose keys are those of CONFIG_KEYS; the [sim] keys are the SimConfig fields,
+with their defaults, plus workers.  Each value is read, and each unknown key
+rejected, before a command starts.  Specs share the grammar of
+dist.parse_spec: `name(key=value, ...)`, the keys in any order.
 Exit codes: 0 ok, 2 config error, 3 precondition error, 4 assertion failure,
 5 numeric failure.
 """
@@ -16,14 +20,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import re
+import math
 import sys
+import typing
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import csv_text, engine, tailstats, theory
-from .dist import parse_model
+from .dist import parse_model, parse_spec
 from .maps import (
     AFFINE,
     EQUAL,
@@ -48,158 +54,171 @@ class ConfigError(ValueError):
     pass
 
 
-_SIGNED_RE = re.compile(r"^signed\(\s*p_plus\s*=\s*([0-9.eE+-]+)\s*\)$")
-_GRID_RE = re.compile(
-    r"^quantile\(\s*lo\s*=\s*([0-9.eE+-]+)\s*,\s*hi_exceed\s*=\s*(\d+)\s*,"
-    r"\s*points\s*=\s*(\d+)\s*\)$"
-)
+# --- value readers: the text of a value -> its value, or ValueError --------
+
+def _number(convert, low, high=math.inf, open_low=False):
+    """Reader of a finite number in [low, high), or (low, high) if open_low."""
+
+    def read(text):
+        value = convert(text)
+        above = low < value if open_low else low <= value
+        if not (math.isfinite(value) and above and value < high):
+            raise ValueError(f"must be finite and in {'(' if open_low else '['}{low}, {high})")
+        return value
+
+    return read
 
 
-class ExperimentConfig:
-    """Typed view over a sectioned key=value config file; re-emitting and
-    re-parsing yields an identical config."""
+def _choice(options):
+    """Reader of one of the keys of options, giving its value."""
 
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
+    def read(text):
+        if text not in options:
+            raise ValueError(f"must be one of {', '.join(options)}")
+        return options[text]
 
-    @classmethod
-    def load(cls, path):
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        return cls(parser)
-
-    def dump(self, fh):
-        self.parser.write(fh)
-
-    def get(self, section, key, default=None, required=False):
-        try:
-            return self.parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            if required:
-                raise ConfigError(f"missing [{section}] {key}") from None
-            return default
-
-    def get_float(self, section, key, default=None, required=False):
-        return self._get_as(float, "a real number", section, key, default, required)
-
-    def get_int(self, section, key, default=None, required=False):
-        return self._get_as(int, "an integer", section, key, default, required)
-
-    def _get_as(self, convert, what, section, key, default, required):
-        raw = self.get(section, key, required=required)
-        if raw is None:
-            return default
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be {what}") from None
+    return read
 
 
-def _parse_dependence(text):
-    text = text.strip()
+def _dependence(text):
+    """independent, equal or signed(p_plus=...), as CoeffLaw keywords."""
     if text in (INDEPENDENT, EQUAL):
-        return text, 1.0
-    m = _SIGNED_RE.match(text)
-    if m:
-        return SIGNED, float(m.group(1))
-    raise ConfigError(f"bad dependence spec {text!r}")
+        return {"dependence": text}
+    name, kwargs = parse_spec(text, {SIGNED: {"p_plus": float}}, "dependence")
+    return {"dependence": name, **kwargs}
 
 
-def build_family(cfg: ExperimentConfig) -> MapFamily:
-    kind = cfg.get("model", "kind", default=AFFINE)
-    try:
-        a = parse_model(cfg.get("model", "a", required=True))
-        dep, p_plus = _parse_dependence(cfg.get("model", "dependence", default=INDEPENDENT))
-        b_raw = cfg.get("model", "b")
-        b = parse_model(b_raw) if b_raw else a
-        coeff = CoeffLaw(
-            a, b, dep, p_plus=p_plus, c_b=cfg.get_float("model", "c_b", default=0.0)
-        )
-        c_raw = cfg.get("model", "c")
-        return MapFamily(
-            kind,
-            coeff,
-            b_lower=cfg.get_float("model", "b_lower", default=0.0),
-            marginal_c=parse_model(c_raw) if c_raw else None,
-            c_c=cfg.get_float("model", "c_c", default=0.0),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+_GRID_RULES = {
+    "quantile": {
+        "lo": _number(float, 0.0, 1.0, open_low=True),
+        "hi_exceed": _number(int, 0),
+        "points": _number(int, 1),
+    }
+}
 
 
-def build_sim_config(cfg: ExperimentConfig, seed_override=None) -> engine.SimConfig:
-    seed = seed_override if seed_override is not None else cfg.get_int("sim", "seed", default=0)
-    try:
-        return engine.SimConfig(
-            n_samples=cfg.get_int("sim", "n_samples", required=True),
-            seed=seed,
-            burn_in=cfg.get_int("sim", "burn_in", default=64),
-            chunk_size=cfg.get_int("sim", "chunk_size", default=1 << 16),
-            method=cfg.get("sim", "method", default=engine.CHAIN),
-            truncation_eps=cfg.get_float("sim", "truncation_eps", default=1e-3),
-            x_init=cfg.get_float("sim", "x_init", default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_side(cfg: ExperimentConfig):
-    """[analysis] side: +1 for the right tail P[X > t], -1 for the left tail
-    P[X < -t]."""
-    side = cfg.get("analysis", "side", default="right").strip()
-    if side not in ("right", "left"):
-        raise ConfigError(f"[analysis] side must be right or left, not {side!r}")
-    return +1 if side == "right" else -1
-
-
-def _grid_rule(cfg: ExperimentConfig):
-    """[analysis] t_grid, checked before any sampling: a function of
-    (batch, side) that returns the grid."""
-    rule = cfg.get("analysis", "t_grid", default="quantile(lo=0.99, hi_exceed=300, points=20)")
-    m = _GRID_RE.match(rule.strip())
-    if m:
-        try:
-            lo = float(m.group(1))
-        except ValueError:
-            raise ConfigError(f"bad t_grid rule {rule!r}") from None
-        hi_exceed, points = int(m.group(2)), int(m.group(3))
-        if not (0.0 < lo < 1.0 and points >= 1):
-            raise ConfigError(f"t_grid rule {rule!r} needs 0 < lo < 1 and points >= 1")
-
-        def quantile_grid(batch, side):
-            try:
-                return tailstats.default_grid(batch, lo, hi_exceed, points, side=side)
-            except ValueError as exc:
-                raise theory.PreconditionError(
-                    f"no usable tail on this side of the batch: {exc}"
-                ) from None
-
-        return quantile_grid
-    try:
-        grid = np.array([float(x) for x in rule.split(",")])
-    except ValueError:
-        raise ConfigError(f"bad t_grid rule {rule!r}") from None
+def _t_grid(text):
+    """A quantile(...) rule, whose keywords go to tailstats.default_grid, or a
+    list of levels: a function of (batch, side) that gives the grid."""
+    if "(" in text:
+        rule = parse_spec(text, _GRID_RULES, "t_grid rule")[1]
+        return lambda batch, side: tailstats.default_grid(batch, side=side, **rule)
+    grid = np.array([float(x) for x in text.split(",")])
     if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
-        raise ConfigError(f"t_grid {rule!r} must be finite and strictly increasing")
+        raise ValueError("levels must be finite and strictly increasing")
     return lambda batch, side: grid
 
 
+_DIST_CHECKS = ("uniformity", "product", "dom", "convex", "convolution", "smallint")
+
+
+def _checks(text):
+    return [_choice({c: c for c in _DIST_CHECKS})(name.strip()) for name in text.split(",")]
+
+
+# section -> key -> reader; a key not listed here is a config error
+CONFIG_KEYS = {
+    "model": {
+        "kind": str, "a": parse_model, "b": parse_model, "dependence": _dependence,
+        "c_b": float, "b_lower": float, "c": parse_model, "c_c": float,
+    },
+    "sim": {**typing.get_type_hints(engine.SimConfig), "workers": _number(int, 1)},
+    "analysis": {
+        "regime": _choice({r: r for r in theory.REGIMES}),
+        **{k: float for regime in theory.REGIMES.values() for k in regime.inputs},
+        "alpha": _number(float, 0.0, open_low=True),
+        "tolerance": _number(float, 0.0),
+        "side": _choice({"right": +1, "left": -1}),
+        "t_grid": _t_grid,
+        "checks": _checks,
+        "n_products": _number(int, 2),
+        "gamma": float,
+    },
+    "output": {"dir": str},
+}
+
+
+class ExperimentConfig:
+    """A config file read against CONFIG_KEYS: values[section][key] holds
+    the value of each key given."""
+
+    def __init__(self, path):
+        parser = configparser.ConfigParser()
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        self.values = {section: {} for section in CONFIG_KEYS}
+        for section in parser.sections():
+            if section not in CONFIG_KEYS:
+                raise ConfigError(f"unknown section [{section}]")
+            for key, raw in parser.items(section):
+                if key not in CONFIG_KEYS[section]:
+                    raise ConfigError(f"unknown key [{section}] {key}")
+                try:
+                    self.values[section][key] = CONFIG_KEYS[section][key](raw)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from None
+
+    def get(self, section, key, default=MISSING):
+        """The value of [section] key if given, else default; a config error
+        if neither is."""
+        value = self.values[section].get(key, default)
+        if value is MISSING:
+            raise ConfigError(f"missing [{section}] {key}")
+        return value
+
+
+def build_family(cfg: ExperimentConfig) -> MapFamily:
+    """[model] as a MapFamily; a key not given takes the default of CoeffLaw
+    or MapFamily, and b that of a."""
+    model = cfg.values["model"]
+    a = cfg.get("model", "a")
+
+    def given(*keys):
+        return {k: model[k] for k in keys if k in model}
+
+    try:
+        coeff = CoeffLaw(a, model.get("b", a), **model.get("dependence", {}), **given("c_b"))
+        return MapFamily(
+            model.get("kind", AFFINE), coeff, marginal_c=model.get("c"), **given("b_lower", "c_c")
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}") from None
+
+
+def _sim_fields(cfg: ExperimentConfig, seed_override):
+    """[sim] as SimConfig keywords: each field given, or its default (MISSING
+    where it has none), with --seed over [sim] seed."""
+    sim = cfg.values["sim"]
+    kwargs = {f.name: sim.get(f.name, f.default) for f in fields(engine.SimConfig)}
+    if seed_override is not None:
+        kwargs.update(seed=seed_override)
+    return kwargs
+
+
+def build_sim_config(cfg: ExperimentConfig, seed_override=None) -> engine.SimConfig:
+    kwargs = _sim_fields(cfg, seed_override)
+    for key, value in kwargs.items():
+        if value is MISSING:
+            raise ConfigError(f"missing [sim] {key}")
+    try:
+        return engine.SimConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[sim] {exc}") from None
+
+
 def _out_dir(cfg, args):
-    out = args.out or cfg.get("output", "dir", default=".")
-    path = Path(out)
+    path = Path(args.out or cfg.get("output", "dir", "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _workers(cfg: ExperimentConfig):
-    workers = cfg.get_int("sim", "workers", default=1)
-    if workers < 1:
-        raise ConfigError("[sim] workers must be >= 1")
-    return workers
+def _sampling(cfg, args):
+    """(family, SimConfig, workers), checked together before any sampling."""
+    family = build_family(cfg)
+    sim_cfg = build_sim_config(cfg, args.seed)
+    if sim_cfg.method == engine.PERPETUITY and family.kind != AFFINE:
+        raise ConfigError(f"[sim] method = perpetuity needs [model] kind = affine: {family.kind}")
+    return family, sim_cfg, cfg.get("sim", "workers", 1)
 
 
 def _run_batch(family, sim_cfg, workers):
@@ -211,13 +230,8 @@ def _run_batch(family, sim_cfg, workers):
 # --- commands ---------------------------------------------------------------
 
 def cmd_predict(cfg, args):
-    regime = cfg.get("analysis", "regime", required=True)
-    if regime not in theory.REGIMES:
-        raise ConfigError(f"unknown regime {regime!r}")
-    inputs = {
-        k: cfg.get_float("analysis", k, required=True)
-        for k in theory.REGIMES[regime].inputs
-    }
+    regime = cfg.get("analysis", "regime")
+    inputs = {k: cfg.get("analysis", k) for k in theory.REGIMES[regime].inputs}
     preds = theory.predict(regime, **inputs)
     out = _out_dir(cfg, args) / "predictions.csv"
     out.write_text(theory.predictions_to_csv(preds))
@@ -228,9 +242,7 @@ def cmd_predict(cfg, args):
 
 
 def cmd_simulate(cfg, args):
-    family = build_family(cfg)
-    sim_cfg = build_sim_config(cfg, args.seed)
-    workers = _workers(cfg)
+    family, sim_cfg, workers = _sampling(cfg, args)
     rng = engine._chunk_rng(sim_cfg.seed, 2**63)
     report = elton_precheck(family, 10000, rng)
     if not report.passed:
@@ -247,13 +259,20 @@ def cmd_simulate(cfg, args):
     return EXIT_OK
 
 
-def _estimate_curves(cfg, family, sim_cfg, side):
-    """Smoothed survival of the requested tail on the configured grid, or
-    the empirical one where the family has no closed-form conditional tail;
-    and its ratio curve against P[A > t]."""
-    grid_for = _grid_rule(cfg)
-    batch = _run_batch(family, sim_cfg, _workers(cfg))
-    grid = grid_for(batch, side)
+def _estimate_curves(cfg, args):
+    """(family, batch, side, survival, ratio curve): the smoothed survival of
+    the requested tail on the configured grid, or the empirical one where the
+    family has no closed-form conditional tail, and its ratio to P[A > t]."""
+    family, sim_cfg, workers = _sampling(cfg, args)
+    side = cfg.get("analysis", "side", +1)
+    grid_for = cfg.get("analysis", "t_grid", _t_grid("quantile()"))
+    batch = _run_batch(family, sim_cfg, workers)
+    try:
+        grid = grid_for(batch, side)
+    except ValueError as exc:
+        raise theory.PreconditionError(
+            f"no usable tail on this side of the batch: {exc}"
+        ) from None
     try:
         est = tailstats.smoothed_survival(
             batch, family.coeff, family.kind, grid, side=side
@@ -261,13 +280,11 @@ def _estimate_curves(cfg, family, sim_cfg, side):
     except NoClosedFormError:
         est = tailstats.ecdf_survival(batch, grid, side=side)
     curve = tailstats.ratio_curve(est, family.coeff.a_tail)
-    return batch, est, curve
+    return family, batch, side, est, curve
 
 
 def cmd_estimate(cfg, args):
-    family = build_family(cfg)
-    sim_cfg = build_sim_config(cfg, args.seed)
-    _, est, curve = _estimate_curves(cfg, family, sim_cfg, _parse_side(cfg))
+    *_, est, curve = _estimate_curves(cfg, args)
     out = _out_dir(cfg, args) / "estimate.csv"
     out.write_text(tailstats.estimate_to_csv(est, curve))
     print(f"wrote {out}")
@@ -289,12 +306,9 @@ def _predicted_constants(cfg, family, batch, alpha):
 
 
 def cmd_verify(cfg, args):
-    family = build_family(cfg)
-    sim_cfg = build_sim_config(cfg, args.seed)
-    alpha = cfg.get_float("analysis", "alpha", required=True)
-    tol = cfg.get_float("analysis", "tolerance", default=0.25)
-    side = _parse_side(cfg)
-    batch, est, curve = _estimate_curves(cfg, family, sim_cfg, side)
+    alpha = cfg.get("analysis", "alpha")
+    tol = cfg.get("analysis", "tolerance", 0.25)
+    family, batch, side, est, curve = _estimate_curves(cfg, args)
     d_plus, d_minus = _predicted_constants(cfg, family, batch, alpha)
     predicted = d_plus if side > 0 else d_minus
     try:
@@ -317,30 +331,19 @@ def cmd_verify(cfg, args):
     return EXIT_OK if ok_flags[final] else EXIT_ASSERTION
 
 
-_DIST_CHECKS = ("uniformity", "product", "dom", "convex", "convolution", "smallint")
-
-
 def cmd_dist_check(cfg, args):
-    model = parse_model(cfg.get("model", "a", required=True))
-    alpha = cfg.get_float("analysis", "alpha", required=True)
-    checks = [
-        s.strip()
-        for s in cfg.get("analysis", "checks", default="uniformity,product").split(",")
-    ]
     # the whole config is checked before the first check runs
-    for check in checks:
-        if check not in _DIST_CHECKS:
-            raise ConfigError(f"unknown check {check!r}")
-    if "product" in checks:
-        n_mc = cfg.get_int("analysis", "n_products", default=1_000_000)
-        if n_mc < 2:
-            raise ConfigError("[analysis] n_products must be >= 2")
+    model = cfg.get("model", "a")
+    alpha = cfg.get("analysis", "alpha")
+    checks = cfg.get("analysis", "checks", ["uniformity", "product"])
+    n_mc = cfg.get("analysis", "n_products", 1_000_000)
     if "convex" in checks:
-        gamma = cfg.get_float("analysis", "gamma", required=True)
-    seed = args.seed if args.seed is not None else cfg.get_int("sim", "seed", default=0)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must be in [0, 2**64)")
-    rng = np.random.default_rng(seed)
+        gamma = cfg.get("analysis", "gamma")
+    seed = _sim_fields(cfg, args.seed)["seed"]
+    try:
+        rng = np.random.default_rng(engine.SimConfig.check_seed(seed))
+    except ValueError as exc:
+        raise ConfigError(f"[sim] {exc}") from None
     rows = []
     ok = True
     for check in checks:
@@ -394,7 +397,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     try:
-        cfg = ExperimentConfig.load(args.config)
+        cfg = ExperimentConfig(args.config)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)

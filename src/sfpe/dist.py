@@ -46,6 +46,7 @@ __all__ = [
     "Constant",
     "LogView",
     "log_view",
+    "parse_spec",
     "parse_model",
     "format_model",
 ]
@@ -482,37 +483,45 @@ def log_view(model: TailModel) -> LogView:
     return LogView(model)
 
 
-# --- model specification grammar: family(key=value, ...) ------------------
-
-_FAMILIES = {
-    cls.family: cls for cls in (Pareto, LogPareto, ExpPoly, ExpStretched, Constant)
-}
+# --- spec grammar: name(key=value, ...) -----------------------------------
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*\(([^()]*)\)\s*$")
 
 
-def parse_model(text: str) -> TailModel:
-    """Parse `family(key=value, ...)`, e.g. `log_pareto(alpha=2.0, beta=3.0, x0=0.4)`."""
+def parse_spec(text: str, readers: dict, what: str):
+    """Parse `name(key=value, ...)`, the keys in any order and each at most
+    once, into (name, {key: value}) for the keys given.  `readers` maps each
+    accepted name to {key: reader of the value text}; `what` names the spec."""
     m = _SPEC_RE.match(text)
     if not m:
-        raise ValueError(f"cannot parse model spec: {text!r}")
-    name, body = m.group(1), m.group(2)
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown model family: {name!r}")
-    cls = _FAMILIES[name]
-    keys = [f.name for f in fields(cls)]
+        raise ValueError(f"cannot parse {what} spec: {text!r}")
+    name, body = m.groups()
+    if name not in readers:
+        raise ValueError(f"unknown {what}: {name!r}")
     kwargs = {}
     for part in filter(None, (p.strip() for p in body.split(","))):
-        if "=" not in part:
-            raise ValueError(f"bad parameter {part!r} in model spec {text!r}")
-        k, v = (s.strip() for s in part.split("=", 1))
-        if k not in keys:
-            raise ValueError(f"unknown parameter {k!r} for family {name!r}")
-        kwargs[k] = float(v)
-    missing = [k for k in keys if k not in kwargs]
+        k, _, v = (s.strip() for s in part.partition("="))
+        if k not in readers[name]:
+            raise ValueError(f"unknown parameter {k!r} for {what} {name!r}")
+        if k in kwargs:
+            raise ValueError(f"parameter {k!r} given twice in {what} spec {text!r}")
+        kwargs[k] = readers[name][k](v)
+    return name, kwargs
+
+
+_FAMILIES = {
+    cls.family: cls for cls in (Pareto, LogPareto, ExpPoly, ExpStretched, Constant)
+}
+_PARAMS = {name: {f.name: float for f in fields(cls)} for name, cls in _FAMILIES.items()}
+
+
+def parse_model(text: str) -> TailModel:
+    """Parse `family(key=value, ...)`, e.g. `log_pareto(alpha=2.0, beta=3.0, x0=0.4)`."""
+    name, kwargs = parse_spec(text, _PARAMS, "model family")
+    missing = [k for k in _PARAMS[name] if k not in kwargs]
     if missing:
         raise ValueError(f"missing parameters {missing} for family {name!r}")
-    return cls(**kwargs)
+    return _FAMILIES[name](**kwargs)
 
 
 def format_model(model: TailModel) -> str:

@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -61,8 +62,10 @@ class EngineError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Sampling settings; the fields are the [sim] config keys and sidecar lines."""
+
     n_samples: int
-    seed: int
+    seed: int = 0
     burn_in: int = 64
     chunk_size: int = 1 << 16
     method: str = CHAIN
@@ -72,8 +75,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be in [0, 2**64)")
+        self.check_seed(self.seed)
         if self.burn_in < 1:
             raise ValueError("burn_in must be >= 1")
         if self.chunk_size < 1:
@@ -82,6 +84,13 @@ class SimConfig:
             raise ValueError("truncation_eps must be in (0, 1)")
         if self.method not in (CHAIN, PERPETUITY):
             raise ValueError(f"unknown method {self.method!r}")
+
+    @staticmethod
+    def check_seed(seed: int) -> int:
+        """seed, which keys every Philox stream, must lie in [0, 2**64)."""
+        if not 0 <= seed < 2**64:
+            raise ValueError("seed must be in [0, 2**64)")
+        return seed
 
 
 @dataclass
@@ -116,7 +125,7 @@ def _chain_chunk(args):
             raise EngineError(
                 f"non-finite state in replica {lo + i} at step {step}"
             )
-    return chunk_index, x
+    return x
 
 
 def _run_chunks(jobs, n_total, workers=1):
@@ -130,9 +139,8 @@ def _run_chunks(jobs, n_total, workers=1):
             results = list(pool.map(_chain_chunk, jobs, chunksize=1))
         finally:
             pool.shutdown()
-    ranges = {idx: (lo, hi) for _, _, idx, lo, hi in jobs}
-    for chunk_index, values in results:
-        lo, hi = ranges[chunk_index]
+    # both maps return results in job order
+    for (*_, lo, hi), values in zip(jobs, results):
         out[lo:hi] = values
     return out
 
@@ -314,33 +322,27 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
     return out
 
 
-def _indep_affine_tail(coeff: CoeffLaw, t: float, y, sign_a=1.0, side=+1):
-    """P[side-tail of sign_a*W*y + B at level t] for independent B,
-    W ~ marginal_a > 0; side = +1 is P[. > t], side = -1 is P[. < -t]."""
-    y = np.asarray(y, dtype=float)
-    return _affine_branch(
-        coeff.marginal_a, coeff.marginal_b, side * sign_a * y, t, side
-    )
-
-
 def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
     """Exact P[Psi(y) > t] (side=+1) or P[Psi(y) < -t] (side=-1) given the
     previous state y, for the closed-form combinations; NoClosedFormError
     for the others."""
     y = np.asarray(y, dtype=float)
     dep = coeff.dependence
+    wm, bm = coeff.marginal_a, coeff.marginal_b
+    # P[s W + side B > t] for independent W, B is the side-tail of a W y + B
+    # at t with s = side * (sign of A) * y
     if kind == AFFINE and dep == EQUAL:
         s = y + 1.0
-        return _scaled_tail(coeff.marginal_a, side * s, t)
+        return _scaled_tail(wm, side * s, t)
     if kind == AFFINE and dep == INDEPENDENT:
-        return _indep_affine_tail(coeff, t, y, side=side)
+        return _affine_branch(wm, bm, side * y, t, side)
     if kind == AFFINE and dep == SIGNED:
         p = coeff.p_plus
-        plus = _indep_affine_tail(coeff, t, y, sign_a=+1.0, side=side)
-        minus = _indep_affine_tail(coeff, t, y, sign_a=-1.0, side=side)
+        plus = _affine_branch(wm, bm, side * y, t, side)
+        minus = _affine_branch(wm, bm, -side * y, t, side)
         return p * plus + (1.0 - p) * minus
     if kind == POS_PART_AFFINE and dep == INDEPENDENT:
-        return _indep_affine_tail(coeff, t, np.maximum(y, 0.0), side=side)
+        return _affine_branch(wm, bm, side * np.maximum(y, 0.0), t, side)
     if kind == MAX_AFFINE and dep == INDEPENDENT:
         if side < 0:
             # A, B >= 0: max(Ay, B) has no left tail below -t < 0
@@ -434,18 +436,9 @@ def save_batch(batch: SampleBatch, path):
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQ", _VERSION, values.size))
         fh.write(values.tobytes())
-    cfg = batch.config
-    lines = [
-        f"method = {batch.method}",
-        f"n_samples = {cfg.n_samples}",
-        f"seed = {cfg.seed}",
-        f"burn_in = {cfg.burn_in}",
-        f"chunk_size = {cfg.chunk_size}",
-        f"truncation_eps = {cfg.truncation_eps!r}",
-        f"x_init = {cfg.x_init!r}",
-    ]
-    for k, v in sorted(batch.extra.items()):
-        lines.append(f"{k} = {v!r}")
+    cfg = replace(batch.config, method=batch.method)
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
+    lines += [f"{k} = {v!r}" for k, v in sorted(batch.extra.items())]
     with open(str(path) + ".cfg", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -467,22 +460,15 @@ def load_batch(path) -> SampleBatch:
                 f"truncated batch file {path}: {len(body) // 8} of {count} values"
             )
         values = np.frombuffer(body, dtype="<f8", count=count)
-    meta = {}
+    # a field the sidecar lacks keeps its default; the sample count is the header's
+    types = typing.get_type_hints(SimConfig)
+    given = {}
     try:
         with open(str(path) + ".cfg") as fh:
-            for line in fh:
-                if "=" in line:
-                    k, v = (s.strip() for s in line.split("=", 1))
-                    meta[k] = v
+            for k, _, v in (line.partition("=") for line in fh):
+                if k.strip() in types:
+                    given[k.strip()] = types[k.strip()](v.strip())
     except FileNotFoundError:
         pass
-    cfg = SimConfig(
-        n_samples=int(meta.get("n_samples", count)),
-        seed=int(meta.get("seed", 0)),
-        burn_in=int(meta.get("burn_in", 64)),
-        chunk_size=int(meta.get("chunk_size", 1 << 16)),
-        method=meta.get("method", CHAIN),
-        truncation_eps=float(meta.get("truncation_eps", 1e-3)),
-        x_init=float(meta.get("x_init", 0.0)),
-    )
+    cfg = replace(SimConfig(count), **given)
     return SampleBatch(values.copy(), cfg.method, cfg.seed, cfg)

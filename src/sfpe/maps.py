@@ -102,9 +102,9 @@ class MapFamily:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.kind == POS_PART_AFFINE and not self.b_lower > 0:
-            raise ValueError("pos_part_affine requires a lower bound b > 0")
+            raise ValueError("pos_part_affine requires a lower bound b_lower > 0")
         if self.kind == SQRT_LOG and self.marginal_c is None:
-            raise ValueError("sqrt_log requires a third coefficient law")
+            raise ValueError("sqrt_log requires a third coefficient law C")
 
 
 def _sqrtlog(x):

@@ -160,16 +160,16 @@ def plugin_moment(batch, g):
     return mean, se
 
 
-def default_grid(batch, lo_quantile=0.99, hi_exceed=RELIABLE_EXCEED, points=20, side=+1):
+def default_grid(batch, lo=0.99, hi_exceed=RELIABLE_EXCEED, points=20, side=+1):
     """Geometric grid from the empirical lo-quantile to the point where
     hi_exceed samples remain above, of X (side = +1) or of -X (side = -1)."""
     srt = np.sort(_values(batch, side))
     n = srt.size
-    lo = float(srt[min(int(lo_quantile * n), n - 1)])
-    hi = float(srt[max(n - hi_exceed - 1, 0)])
-    if not (0.0 < lo < hi):
-        raise ValueError("cannot build a geometric grid: need 0 < lo < hi")
-    return np.geomspace(lo, hi, points)
+    start = float(srt[min(int(lo * n), n - 1)])
+    stop = float(srt[max(n - hi_exceed - 1, 0)])
+    if not (0.0 < start < stop):
+        raise ValueError("cannot build a geometric grid: need 0 < start < stop")
+    return np.geomspace(start, stop, points)
 
 
 def reliable_index(est: TailEstimate, min_exceed=RELIABLE_EXCEED):

@@ -1,17 +1,17 @@
-import configparser
-import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sfpe import theory
+from sfpe import engine, theory
 from sfpe.cli import (
+    CONFIG_KEYS,
     EXIT_ASSERTION,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PRECONDITION,
-    ExperimentConfig,
     main,
 )
 
@@ -51,41 +51,84 @@ def config_file(tmp_path):
     return write
 
 
-class TestConfig:
-    def test_round_trip(self, config_file):
-        cfg = ExperimentConfig.load(config_file())
-        buf = io.StringIO()
-        cfg.dump(buf)
-        reparsed = configparser.ConfigParser()
-        reparsed.read_string(buf.getvalue())
-        assert {s: dict(reparsed[s]) for s in reparsed.sections()} == {
-            s: dict(cfg.parser[s]) for s in cfg.parser.sections()
-        }
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fails a test that reaches the stability precheck or a sampler."""
 
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    for name in ("sample_stationary_chain", "sample_perpetuity"):
+        monkeypatch.setattr(engine, name, fail)
+    monkeypatch.setattr("sfpe.cli.elton_precheck", fail)
+
+
+def _config_error(path, commands, named, capsys, *flags):
+    """Each command exits 2 with a message that names [section] key."""
+    for command in commands:
+        assert main([command, "--config", path, *flags]) == EXIT_CONFIG, command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err, (command, err)
+
+
+class TestConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["predict", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
-    def test_bad_value_is_config_error(self, config_file, capsys):
-        path = config_file(BASE_CONFIG.replace("n_samples = 50000", "n_samples = many"))
-        assert main(["simulate", "--config", path]) == EXIT_CONFIG
-        for bad in ("chunk_size = 0", "method = smoothed"):
-            path = config_file(BASE_CONFIG.replace("method = chain", bad))
-            assert main(["simulate", "--config", path]) == EXIT_CONFIG
-        path = config_file()
-        for command in ("simulate", "dist-check"):
-            assert main([command, "--config", path, "--seed", "-1"]) == EXIT_CONFIG
-        path = config_file(BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = rght"))
-        for command in ("estimate", "verify"):
-            assert main([command, "--config", path]) == EXIT_CONFIG
+    def test_bad_value_is_config_error(self, config_file, capsys, no_sampling):
+        sampling = ("simulate", "estimate", "verify")
+        cases = [
+            ("n_samples = 50000", "n_samples = many", "[sim] n_samples", sampling),
+            ("method = chain", "chunk_size = 0", "[sim] chunk_size", sampling),
+            ("method = chain", "method = smoothed", "[sim] unknown method", sampling),
+            ("sigma = 0.45", "sigma = 0.45\nside = rght", "[analysis] side", sampling),
+            ("alpha = 2.0", "alpha = -1.0", "[analysis] alpha", ("verify", "dist-check")),
+            ("alpha = 2.0", "alpha = nan", "[analysis] alpha", ("verify", "dist-check")),
+            ("sigma = 0.45", "sigma = 0.45\ntolerance = -1", "[analysis] tolerance", ("verify",)),
+            ("sigma = 0.45", "sigma = 0.45\ntolerance = nan", "[analysis] tolerance", ("verify",)),
+        ]
         for grid in (
             "5,3", "nan,2", "2,inf",
             "quantile(lo=-0.5, hi_exceed=300, points=20)",
             "quantile(lo=0.99, hi_exceed=300, points=0)",
             "quantile(lo=1.5, hi_exceed=300, points=20)",
+            "quantile(lo=0.99, hi_exceed=-1, points=20)",
+            "quantile(lo=0.99, lo=0.9)",
+            "quantile(low=0.99)",
+            "geometric(lo=0.99)",
         ):
-            path = config_file(BASE_CONFIG.replace("sigma = 0.45", f"sigma = 0.45\nt_grid = {grid}"))
-            for command in ("estimate", "verify"):
-                assert main([command, "--config", path]) == EXIT_CONFIG, (grid, command)
+            cases.append(
+                ("sigma = 0.45", f"sigma = 0.45\nt_grid = {grid}", "[analysis] t_grid", ("estimate", "verify"))
+            )
+        for old, new, named, commands in cases:
+            path = config_file(BASE_CONFIG.replace(old, new))
+            _config_error(path, commands, named, capsys)
+        _config_error(config_file(), ("simulate", "dist-check"), "[sim] seed", capsys, "--seed", "-1")
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("dependence = independent", "depedence = signed(p_plus=0.75)", "[model] depedence"),
+            ("sigma = 0.45", "sigma = 0.45\nsid = left", "[analysis] sid"),
+            ("n_samples = 50000", "n_samples = 50000\nburnin = 4", "[sim] burnin"),
+            ("[output]", "[outptu]", "[outptu]"),
+        ],
+    )
+    def test_unknown_key_is_config_error(self, config_file, capsys, no_sampling, old, new, named):
+        path = config_file(BASE_CONFIG.replace(old, new))
+        _config_error(path, ("predict", "simulate", "estimate", "verify", "dist-check"), named, capsys)
+
+    def test_perpetuity_needs_affine_map(self, config_file, capsys, no_sampling):
+        text = BASE_CONFIG.replace("kind = affine", "kind = max_affine").replace(
+            "method = chain", "method = perpetuity"
+        )
+        _config_error(config_file(text), ("simulate", "estimate", "verify"), "[sim] method", capsys)
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, re.MULTILINE)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == {(s, k) for s, keys in CONFIG_KEYS.items() for k in keys}
 
 
 class TestPredict:
@@ -165,6 +208,18 @@ class TestEstimate:
         rows = (tmp_path / "out" / "estimate.csv").read_text().strip().split("\n")
         assert rows[0] == "t,p_hat,ci_lo,ci_hi,n_exceed,ref_tail,ratio,ratio_ci_lo,ratio_ci_hi"
         assert len(rows) == 21  # default 20-point grid
+
+    def test_grid_rule_keys_in_any_order(self, config_file, tmp_path):
+        # the spelled-out default rule, its keys reordered, gives the same bytes
+        text = BASE_CONFIG.replace(
+            "sigma = 0.45", "sigma = 0.45\nt_grid = quantile(points=20, lo=0.99, hi_exceed=300)"
+        )
+        out = str(tmp_path / "reordered")
+        assert main(["estimate", "--config", config_file(text), "--out", out]) == EXIT_OK
+        assert main(["estimate", "--config", config_file()]) == EXIT_OK
+        assert (tmp_path / "reordered" / "estimate.csv").read_bytes() == (
+            tmp_path / "out" / "estimate.csv"
+        ).read_bytes()
 
 
 class TestVerify:

@@ -332,6 +332,8 @@ class TestModelGrammar:
             parse_model("pareto(alpha=2)")
         with pytest.raises(ValueError, match="unknown parameter"):
             parse_model("pareto(alpha=2, beta=3, x0=1)")
+        with pytest.raises(ValueError, match="given twice"):
+            parse_model("pareto(alpha=2, x0=1, alpha=3)")
 
 
 class TestFamilyContract:

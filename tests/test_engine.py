@@ -462,6 +462,18 @@ class TestPersistence:
         assert loaded.config == batch.config
         assert loaded.method == batch.method
 
+    def test_sidecar_holds_the_sampling_method(self, tmp_path):
+        # sample_perpetuity keeps the config it was given, whatever its method
+        batch = sample_perpetuity(INDEP, SimConfig(n_samples=20, seed=1, chunk_size=7))
+        path = tmp_path / "batch.bin"
+        save_batch(batch, path)
+        loaded = load_batch(path)
+        assert loaded.method == "perpetuity"
+        assert loaded.config == SimConfig(n_samples=20, seed=1, chunk_size=7, method="perpetuity")
+        # without the sidecar every field but the header's count is a default
+        (tmp_path / "batch.bin.cfg").unlink()
+        assert load_batch(path).config == SimConfig(n_samples=20)
+
     def test_header_layout(self, tmp_path):
         batch = SampleBatch(
             np.array([1.0, 2.0]), "chain", 7, SimConfig(n_samples=2, seed=7)

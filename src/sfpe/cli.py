@@ -169,13 +169,17 @@ class ExperimentConfig:
 
 def build_family(cfg: ExperimentConfig) -> MapFamily:
     """[model] as a MapFamily; a key not given takes the default of CoeffLaw
-    or MapFamily, and b that of a."""
+    or MapFamily, and b that of a.  dependence = equal takes neither b nor c_b."""
     model = cfg.values["model"]
     a = cfg.get("model", "a")
 
     def given(*keys):
         return {k: model[k] for k in keys if k in model}
 
+    fixed = ", ".join(given("b", "c_b"))
+    if fixed and model.get("dependence", {}).get("dependence") == EQUAL:
+        # A = B pathwise fixes the law of B and c_b = 1; CoeffLaw would ignore them
+        raise ConfigError(f"[model] {fixed}: not allowed with dependence = equal")
     try:
         coeff = CoeffLaw(a, model.get("b", a), **model.get("dependence", {}), **given("c_b"))
         return MapFamily(

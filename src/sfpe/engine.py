@@ -3,16 +3,17 @@
 One sampler: independent replica chains.  The truncated perpetuity (affine
 maps only) is that chain run K steps from 0, with K from the remainder
 bound.  On top of a batch, the Rao-Blackwellized (smoothed) tail estimator
-averages the closed-form one-step tail over the samples, interpolated on one
-grid per batch for every family that has one: the interpolation weights are
-built once per batch, and each level evaluates the one-step tail on the grid
-alone, never on the samples.  Sampling is chunked; each chunk owns a
+averages the closed-form one-step tail over the samples by a local cubic
+rule on one grid per batch: the weights are built once per batch, and each
+level evaluates the one-step tail on the grid's nodes alone, never on the
+samples.  Sampling is chunked; each chunk owns a
 counter-based Philox stream keyed by (seed, chunk_index), so results are
 bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import struct
@@ -235,8 +236,8 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
 
     Each element of s is one row of _GL_NODES nodes.  Rows are evaluated in
     blocks of _GL_BLOCK, so the node, quantile and integrand arrays stay
-    cache-sized (393 KB each) instead of growing with s (6.3 MB each on the
-    8192-node smoothing grid) and being page-faulted in afresh on every
+    cache-sized (393 KB each) instead of growing with s (1.6 MB each on the
+    2048-node smoothing grid) and being page-faulted in afresh on every
     call.  A row's sum is the same reduction in any block, and the quantile
     solves each element on its own, so the blocking changes no bit.
     """
@@ -355,35 +356,38 @@ def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
     )
 
 
-_SMOOTH_GRID = 8192
+_SMOOTH_GRID = 2048
+_WEIGHT_BLOCK = 1 << 12  # points per block of _lagrange_weights
 
 
-def _interp_weights(g, grid_g):
-    """Linear interpolation of the points g on grid_g as weights on the
-    nodes: (w, d, o), of sizes G, G and G - 1.
+def _lagrange_weights(g, grid_g):
+    """Cubic Lagrange weights of the points g on the uniform grid_g: (w, d),
+    with w of size G and d = [d_0, .., d_3] of sizes G .. G - 3.
 
-    Point i lies in interval j_i at fraction f_i, so its interpolated value
-    is (1 - f_i) v[j_i] + f_i v[j_i + 1].  The mean of these values is w . v,
-    and their sum of squares is sum_k d_k v_k^2 + 2 sum_k o_k v_k v_{k+1};
-    w, d and o depend on the points alone, not on v.
+    Point i in interval j_i takes the nodes s_i .. s_i + 3 (s_i = j_i - 1,
+    clipped to [0, G - 4]) at weights l_ia.  The mean of the interpolated
+    values sum_a l_ia v[s_i + a] is w . v, and their sum of squares is
+    d_0 . v^2 + 2 sum_{k>0} d_k . (v[:-k] v[k:]).  Points go in blocks of
+    _WEIGHT_BLOCK, so the work arrays do not grow with the batch.
     """
     size = grid_g.size
-    j = np.searchsorted(grid_g, g, side="right")
-    j -= 1
-    np.clip(j, 0, size - 2, out=j)
-    f = g - grid_g[j]
-    width = np.diff(grid_g)[j]
-    # equal points give a zero-width grid, and f = g - grid_g[j] = 0 there
-    np.divide(f, width, out=f, where=width > 0.0)
-    del width
-    h = 1.0 - f
-    w = np.bincount(j, h, size)
-    d = np.bincount(j, h * h, size)
-    o = np.bincount(j, h * f, size)
-    j += 1
-    w += np.bincount(j, f, size)
-    d += np.bincount(j, f * f, size)
-    return w / g.size, d, o[:-1]
+    step = (grid_g[-1] - grid_g[0]) / (size - 1)
+    # acc holds w, d_0 .. d_3 in slots of size G: l_a adds to w[s + a], l_a l_{a+k} to d_k[s + a]
+    pairs = np.array([(a, a + k) for k in range(4) for a in range(4 - k)])
+    at = np.concatenate([np.arange(4), (1 + pairs[:, 1] - pairs[:, 0]) * size + pairs[:, 0]])
+    acc = np.zeros(5 * size)
+    for lo in range(0, g.size, _WEIGHT_BLOCK):
+        x = g[lo:lo + _WEIGHT_BLOCK] - grid_g[0]
+        if step > 0.0:  # a zero-width grid (equal points) has x = 0: all on node 0
+            x /= step
+        s = np.clip(x.astype(np.intp) - 1, 0, size - 4)
+        x -= s
+        x1, x2, x3 = x - 1.0, x - 2.0, x - 3.0
+        lag = np.stack([-x1 * x2 * x3 / 6.0, x * x2 * x3 / 2.0,
+                        -x * x1 * x3 / 2.0, x * x1 * x2 / 6.0], axis=1)
+        cols = np.concatenate([lag, lag[:, pairs[:, 0]] * lag[:, pairs[:, 1]]], axis=1)
+        acc += np.bincount((s[:, None] + at).ravel(), cols.ravel(), acc.size)
+    return acc[:size] / g.size, [acc[(1 + k) * size:(2 + k) * size - k] for k in range(4)]
 
 
 def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t_grid, side=+1):
@@ -392,36 +396,30 @@ def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t_grid, side=+
     indicator estimator.
 
     Returns (estimates, standard errors), one per t; a single sample has
-    standard error nan.  The closed-form conditional tail (a smooth monotone
-    function of y) is linearly interpolated from one dense asinh-spaced grid
-    over the batch's range; the grid error is far below Monte Carlo noise.
-    The interpolation weights are built once per batch, so each t costs the
-    one-step tail on every grid node and a few dot products, whatever the
-    batch size and however the samples spread over the grid (nodes without
-    samples have weight 0; skipping them would make the cost follow the
-    sample extremes).  The weights sum to 1 only up to rounding, so the mean
-    takes one refinement step, m + w . (v - m), which makes it exact where
-    v is constant on the nodes.  The variance is taken about that mean,
-    which interpolation carries over to the samples exactly.
+    standard error nan.  The closed-form one-step tail, monotone in y with
+    kinks at the support edges, is taken on the _SMOOTH_GRID nodes of one
+    asinh grid over the batch's range and interpolated by _lagrange_weights:
+    each t costs the nodes and a few dot products, whatever the batch size.
+    The mean takes one refinement step, m + w . (v - m), exact where v is
+    constant on the nodes (the weights sum to 1 only up to rounding), and
+    the variance is taken about it.  Cubic weights can be negative, so the
+    estimate is clipped to [0, 1].
     """
-    y = np.asarray(batch.values, dtype=float)
-    n = y.size
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     # asinh scale covers signed, heavy-tailed sample ranges gracefully
-    g = np.asinh(y)
+    g = np.asinh(np.asarray(batch.values, dtype=float))
+    n = g.size
     grid_g = np.linspace(float(g.min()), float(g.max()), _SMOOTH_GRID)
-    w, d, o = _interp_weights(g, grid_g)
+    w, d = _lagrange_weights(g, grid_g)
     grid_y = np.sinh(grid_g)
-    est = np.empty(t_grid.shape)
-    se = np.empty(t_grid.shape)
+    est, se = np.empty(t_grid.shape), np.empty(t_grid.shape)
     for i, t in enumerate(t_grid):
         v = conditional_tail(coeff, kind, float(t), grid_y, side=side)
         m = w @ v
         m += w @ (v - m)
-        # a mean of probabilities; the dot products can round above 1
-        est[i] = m = min(m, 1.0)
+        est[i] = min(max(m, 0.0), 1.0)
         c = v - m
-        ss = d @ (c * c) + 2.0 * (o @ (c[:-1] * c[1:]))
+        ss = d[0] @ (c * c) + 2.0 * sum(d[k] @ (c[:-k] * c[k:]) for k in (1, 2, 3))
         se[i] = math.sqrt(max(ss, 0.0) / (n - 1) / n) if n > 1 else math.nan
     return est, se
 
@@ -462,13 +460,15 @@ def load_batch(path) -> SampleBatch:
         values = np.frombuffer(body, dtype="<f8", count=count)
     # a field the sidecar lacks keeps its default; the sample count is the header's
     types = typing.get_type_hints(SimConfig)
-    given = {}
+    given, extra = {}, {}
     try:
         with open(str(path) + ".cfg") as fh:
-            for k, _, v in (line.partition("=") for line in fh):
-                if k.strip() in types:
-                    given[k.strip()] = types[k.strip()](v.strip())
+            for k, v in (map(str.strip, line.split("=", 1)) for line in fh):
+                if k in types:
+                    given[k] = types[k](v)
+                else:  # a SampleBatch.extra item, which save_batch writes as its repr
+                    extra[k] = ast.literal_eval(v)
     except FileNotFoundError:
         pass
     cfg = replace(SimConfig(count), **given)
-    return SampleBatch(values.copy(), cfg.method, cfg.seed, cfg)
+    return SampleBatch(values.copy(), cfg.method, cfg.seed, cfg, extra)

@@ -15,6 +15,7 @@ from sfpe.cli import (
     main,
 )
 
+B_LINE = "b = log_pareto(alpha=2.0, beta=3.0, x0=0.4)\n"
 BASE_CONFIG = """\
 [model]
 kind = affine
@@ -86,6 +87,10 @@ class TestConfig:
             ("alpha = 2.0", "alpha = nan", "[analysis] alpha", ("verify", "dist-check")),
             ("sigma = 0.45", "sigma = 0.45\ntolerance = -1", "[analysis] tolerance", ("verify",)),
             ("sigma = 0.45", "sigma = 0.45\ntolerance = nan", "[analysis] tolerance", ("verify",)),
+            # A = B fixes the law of B and c_b
+            ("dependence = independent", "dependence = equal", "[model] b, c_b", sampling),
+            (B_LINE + "dependence = independent", "dependence = equal", "[model] c_b", sampling),
+            ("dependence = independent\nc_b = 1.0", "dependence = equal", "[model] b", sampling),
         ]
         for grid in (
             "5,3", "nan,2", "2,inf",
@@ -248,7 +253,7 @@ class TestVerify:
 
     def test_no_closed_form_is_precondition(self, config_file):
         text = BASE_CONFIG.replace("kind = affine", "kind = max_affine").replace(
-            "dependence = independent", "dependence = equal"
+            B_LINE + "dependence = independent\nc_b = 1.0", "dependence = equal"
         )
         assert main(["verify", "--config", config_file(text)]) == EXIT_PRECONDITION
 

@@ -385,22 +385,84 @@ class TestSmoothedTail:
         est, se = smoothed_tail(batch, CONST_B, AFFINE, [0.5, 1.2])
         assert np.all(est == 1.0) and np.all(se == 0.0)
 
+    def test_impossible_level_gives_zero(self):
+        # A, B > 0 and states > 0, so Ay + B < -t is impossible at every t
+        batch = _chain_batch(INDEP, 50_000)
+        est, se = smoothed_tail(batch, INDEP, AFFINE, [0.1, 1.0, 20.0], side=-1)
+        assert np.all(est == 0.0) and np.all(se == 0.0)
+
+    @pytest.mark.parametrize("side", [+1, -1], ids=["right", "left"])
+    def test_estimates_stay_probabilities_near_the_kink(self, side):
+        # below the support edge 0.4 of B, the signed law's one-step tail
+        # is 1 at y = 0 alone (right) or 0 at y = 0 alone (left): a kink,
+        # where the cubic weights of a stencil that spans it can leave
+        # [0, 1].  The stationary batch, and batches held near 0
+        ts = [0.05, 0.2, 0.35, 0.4, 0.45, 0.6, 1.0, 2.0]
+        for values in (_chain_batch(SIGNED_COEFF, 50_000).values,
+                       np.linspace(-0.05, 0.05, 1001), np.array([-1e-3, 0.0, 2e-3])):
+            batch = SampleBatch(values, "chain", 0, SimConfig(n_samples=values.size))
+            est, _ = smoothed_tail(batch, SIGNED_COEFF, AFFINE, ts, side=side)
+            assert np.all((est >= 0.0) & (est <= 1.0))
+
+    def test_overshoot_at_a_kink_is_clipped(self):
+        # with B = 1 the one-step tail at t = 1.5 reaches 1 at y = 1.25 with
+        # a kink; midway between the first two nodes where it is 1, the cubic
+        # value exceeds 1, and a batch held there has a mean above 1
+        grid_g = np.linspace(np.asinh(0.5), np.asinh(3.0), engine._SMOOTH_GRID)
+        v = conditional_tail(CONST_B, AFFINE, 1.5, np.sinh(grid_g))
+        k = np.argmax(v == 1.0)
+        values = np.r_[0.5, np.full(10_000, np.sinh((grid_g[k] + grid_g[k + 1]) / 2)), 3.0]
+        batch = SampleBatch(values, "chain", 0, SimConfig(n_samples=values.size))
+        est, _ = smoothed_tail(batch, CONST_B, AFFINE, [1.5])
+        assert 0.0 <= est[0] <= 1.0
+
     @ALL_CASES
     def test_matches_per_sample_interpolation(self, coeff, side):
-        # the per-batch weights and the tridiagonal variance form against
-        # np.interp at every sample of the same grid, then mean and std
+        # the per-batch weights and the banded variance form against the
+        # 4-point Lagrange value at every sample of the same grid (nodes
+        # j - 1 .. j + 2 about the interval j, clipped to the grid), then
+        # mean and std
         batch = _chain_batch(coeff, 50_000)
         ts = np.concatenate([[1.2, 1.8], default_grid(batch, side=side)])
         est, se = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
         g = np.asinh(batch.values)
         grid_g = np.linspace(g.min(), g.max(), engine._SMOOTH_GRID)
+        start = np.clip(np.searchsorted(grid_g, g, side="right") - 2, 0, grid_g.size - 4)
+        nodes = grid_g[start[:, None] + np.arange(4)]
         for i, t in enumerate(ts):
             v = conditional_tail(coeff, AFFINE, t, np.sinh(grid_g), side=side)
-            vals = np.interp(g, grid_g, v)
+            if np.all(v == v[0]):
+                # a certain or impossible level: the per-sample spread
+                # below would be rounding alone
+                assert est[i] == v[0] and se[i] == 0.0
+                continue
+            vals = sum(
+                v[start + a] * np.prod(
+                    [(g - nodes[:, b]) / (nodes[:, a] - nodes[:, b]) for b in range(4) if b != a],
+                    axis=0,
+                )
+                for a in range(4)
+            )
             np.testing.assert_allclose(est[i], vals.mean(), rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(
                 se[i], vals.std(ddof=1) / math.sqrt(vals.size), rtol=1e-12, atol=0.0
             )
+
+    @pytest.mark.parametrize("n", [1, 1000, 50_000])
+    def test_cost_is_the_grid_whatever_the_batch_size(self, n, monkeypatch):
+        # each level evaluates the one-step tail on the grid's nodes alone,
+        # never on the samples
+        sizes = []
+
+        def counted(coeff, kind, t, y, side=+1):
+            sizes.append(np.asarray(y).size)
+            return conditional_tail(coeff, kind, t, y, side=side)
+
+        monkeypatch.setattr(engine, "conditional_tail", counted)
+        batch = _chain_batch(EQUAL_COEFF, 50_000)
+        batch = SampleBatch(batch.values[:n], "chain", 0, SimConfig(n_samples=n))
+        smoothed_tail(batch, EQUAL_COEFF, AFFINE, [1.5, 4.0, 20.0])
+        assert sizes == [engine._SMOOTH_GRID] * 3
 
 
 class TestQuadratureBlocking:
@@ -413,7 +475,7 @@ class TestQuadratureBlocking:
         g = np.linspace(np.asinh(y.min()), np.asinh(y.max()), engine._SMOOTH_GRID)
         grid = np.sinh(g)
         block = engine._GL_BLOCK
-        cuts = [0, block - 211, 3 * block + 5, 5000, grid.size]
+        cuts = [0, block - 211, 2 * block + 5, 1800, grid.size]
         sizes = np.diff(cuts)
         assert np.all(sizes % block != 0) and sizes.min() < block
         for t in (1.2, 1.5, 1.8, 2.2, 3.2, 8.0, 38.0):
@@ -435,15 +497,18 @@ class TestQuadratureBlocking:
 
 
 class TestSmoothingGridError:
-    @pytest.mark.parametrize("side", [+1, -1], ids=["right", "left"])
-    def test_half_grid_moves_estimate_far_below_se(self, side, monkeypatch):
-        # the interpolation error of the 8192-node grid is bounded by how far
-        # the estimate moves when the grid is halved
-        batch = _chain_batch(SIGNED_COEFF, 262_144)
+    @pytest.mark.parametrize("coeff,side", [
+        (SIGNED_COEFF, +1), (SIGNED_COEFF, -1), (EQUAL_COEFF, +1), (CONST_B, +1),
+    ], ids=["right", "left", "equal", "constant-b"])
+    def test_half_grid_moves_estimate_far_below_se(self, coeff, side, monkeypatch):
+        # the interpolation error of the grid is bounded by how far the
+        # estimate moves when the grid is halved; the equal and constant-B
+        # one-step tails have a kink at the support edge
+        batch = _chain_batch(coeff, 262_144)
         ts = default_grid(batch, side=side)
-        est, se = smoothed_tail(batch, SIGNED_COEFF, AFFINE, ts, side=side)
+        est, se = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
         monkeypatch.setattr(engine, "_SMOOTH_GRID", engine._SMOOTH_GRID // 2)
-        half, _ = smoothed_tail(batch, SIGNED_COEFF, AFFINE, ts, side=side)
+        half, _ = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
         assert np.max(np.abs(half - est) / se) < 0.05
 
 
@@ -473,6 +538,13 @@ class TestPersistence:
         # without the sidecar every field but the header's count is a default
         (tmp_path / "batch.bin.cfg").unlink()
         assert load_batch(path).config == SimConfig(n_samples=20)
+
+    def test_round_trip_keeps_extra(self, tmp_path):
+        batch = sample_perpetuity(INDEP, SimConfig(n_samples=20, seed=1))
+        path = tmp_path / "batch.bin"
+        save_batch(batch, path)
+        assert batch.extra.keys() == {"n_terms", "remainder_bound"}
+        assert load_batch(path).extra == batch.extra
 
     def test_header_layout(self, tmp_path):
         batch = SampleBatch(

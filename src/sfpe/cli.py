@@ -3,7 +3,7 @@
 Commands:
   predict     closed-form constants for a named regime -> predictions.csv
   simulate    sample a stationary batch -> batch.bin (+ .cfg sidecar)
-  estimate    empirical survival + ratio curve -> estimate.csv
+  estimate    empirical survival + ratio curve of batch.bin -> estimate.csv
   verify      predicted constant vs empirical ratio with CIs -> verify.csv
   dist-check  regular-variation / convolution-class diagnostics -> report
 
@@ -12,8 +12,10 @@ whose keys are those of CONFIG_KEYS; the [sim] keys are the SimConfig fields,
 with their defaults, plus workers.  Each value is read, and each unknown key
 rejected, before a command starts.  Specs share the grammar of
 dist.parse_spec: `name(key=value, ...)`, the keys in any order.
-Exit codes: 0 ok, 2 config error, 3 precondition error, 4 assertion failure,
-5 numeric failure.
+simulate alone samples; estimate and verify read the batch.bin it wrote to
+the output directory, and a batch of another [model] or [sim] is a config error.
+Exit codes: 0 ok, 2 config error, 3 precondition error (e.g. no batch), 4
+assertion failure, 5 numeric failure (e.g. an unreadable batch).
 """
 
 from __future__ import annotations
@@ -217,18 +219,12 @@ def _out_dir(cfg, args):
 
 
 def _sampling(cfg, args):
-    """(family, SimConfig, workers), checked together before any sampling."""
+    """(family, SimConfig), checked together before any sampling."""
     family = build_family(cfg)
     sim_cfg = build_sim_config(cfg, args.seed)
     if sim_cfg.method == engine.PERPETUITY and family.kind != AFFINE:
         raise ConfigError(f"[sim] method = perpetuity needs [model] kind = affine: {family.kind}")
-    return family, sim_cfg, cfg.get("sim", "workers", 1)
-
-
-def _run_batch(family, sim_cfg, workers):
-    if sim_cfg.method == engine.PERPETUITY:
-        return engine.sample_perpetuity(family.coeff, sim_cfg, workers=workers)
-    return engine.sample_stationary_chain(family, sim_cfg, workers=workers)
+    return family, sim_cfg
 
 
 # --- commands ---------------------------------------------------------------
@@ -246,7 +242,8 @@ def cmd_predict(cfg, args):
 
 
 def cmd_simulate(cfg, args):
-    family, sim_cfg, workers = _sampling(cfg, args)
+    family, sim_cfg = _sampling(cfg, args)
+    workers = cfg.get("sim", "workers", 1)
     rng = engine._chunk_rng(sim_cfg.seed, 2**63)
     report = elton_precheck(family, 10000, rng)
     if not report.passed:
@@ -256,7 +253,11 @@ def cmd_simulate(cfg, args):
             file=sys.stderr,
         )
         return EXIT_PRECONDITION
-    batch = _run_batch(family, sim_cfg, workers)
+    if sim_cfg.method == engine.PERPETUITY:
+        batch = engine.sample_perpetuity(family.coeff, sim_cfg, workers=workers)
+    else:
+        batch = engine.sample_stationary_chain(family, sim_cfg, workers=workers)
+    batch.extra["model"] = repr(family)
     out = _out_dir(cfg, args) / "batch.bin"
     engine.save_batch(batch, out)
     print(f"wrote {out} ({batch.values.size} samples, method={batch.method})")
@@ -266,11 +267,19 @@ def cmd_simulate(cfg, args):
 def _estimate_curves(cfg, args):
     """(family, batch, side, survival, ratio curve): the smoothed survival of
     the requested tail on the configured grid, or the empirical one where the
-    family has no closed-form conditional tail, and its ratio to P[A > t]."""
-    family, sim_cfg, workers = _sampling(cfg, args)
+    family has no closed-form conditional tail, and its ratio to P[A > t],
+    of the batch simulate wrote for this config, whatever its workers."""
+    family, sim_cfg = _sampling(cfg, args)
     side = cfg.get("analysis", "side", +1)
     grid_for = cfg.get("analysis", "t_grid", _t_grid("quantile()"))
-    batch = _run_batch(family, sim_cfg, workers)
+    path = _out_dir(cfg, args) / "batch.bin"
+    if not path.is_file():
+        raise theory.PreconditionError(f"no batch {path}: run `sfpe simulate` first")
+    batch = engine.load_batch(path)
+    if batch.config != sim_cfg:
+        raise ConfigError(f"[sim] does not match {path}: run `sfpe simulate` again")
+    if batch.extra.get("model") != repr(family):
+        raise ConfigError(f"[model] does not match {path}: run `sfpe simulate` again")
     try:
         grid = grid_for(batch, side)
     except ValueError as exc:

@@ -48,7 +48,6 @@ __all__ = [
     "log_view",
     "parse_spec",
     "parse_model",
-    "format_model",
 ]
 
 _QUAD_RELTOL = 1e-9
@@ -223,9 +222,10 @@ class TailModel:
         """Inverse-transform draws; U uniform on (0, 1]."""
         return self.quantile(1.0 - rng.random(n))
 
-    def __repr__(self):  # pragma: no cover
-        inner = ", ".join(f"{k}={v}" for k, v in self.params().items())
-        return f"{type(self).__name__}({inner})"
+    def __repr__(self):
+        """The spec that parse_model reads back to an equal model."""
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.params().items())
+        return f"{self.family}({inner})"
 
 
 def _power_tail_exp_moment(model, s):
@@ -522,9 +522,3 @@ def parse_model(text: str) -> TailModel:
     if missing:
         raise ValueError(f"missing parameters {missing} for family {name!r}")
     return _FAMILIES[name](**kwargs)
-
-
-def format_model(model: TailModel) -> str:
-    """Inverse of parse_model; round-trips exactly."""
-    inner = ", ".join(f"{k}={v!r}" for k, v in model.params().items())
-    return f"{model.family}({inner})"

@@ -428,7 +428,8 @@ def smoothed_tail(batch: SampleBatch, coeff: CoeffLaw, kind: str, t_grid, side=+
 
 def save_batch(batch: SampleBatch, path):
     """16-byte header (magic, version, count) + little-endian float64 values,
-    with a sidecar text file echoing the config."""
+    with a sidecar text file echoing the config that made the batch (for a
+    perpetuity, n_terms in extra records the chain steps that ran)."""
     values = np.ascontiguousarray(batch.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -459,16 +460,17 @@ def load_batch(path) -> SampleBatch:
             )
         values = np.frombuffer(body, dtype="<f8", count=count)
     # a field the sidecar lacks keeps its default; the sample count is the header's
+    sidecar = str(path) + ".cfg"
     types = typing.get_type_hints(SimConfig)
     given, extra = {}, {}
     try:
-        with open(str(path) + ".cfg") as fh:
+        with open(sidecar) as fh:
             for k, v in (map(str.strip, line.split("=", 1)) for line in fh):
                 if k in types:
                     given[k] = types[k](v)
                 else:  # a SampleBatch.extra item, which save_batch writes as its repr
                     extra[k] = ast.literal_eval(v)
-    except FileNotFoundError:
-        pass
-    cfg = replace(SimConfig(count), **given)
+        cfg = replace(SimConfig(count), **given)
+    except (OSError, ValueError, SyntaxError) as exc:
+        raise EngineError(f"missing or unreadable sidecar {sidecar}: {exc}") from None
     return SampleBatch(values.copy(), cfg.method, cfg.seed, cfg, extra)

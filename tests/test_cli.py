@@ -10,6 +10,7 @@ from sfpe.cli import (
     CONFIG_KEYS,
     EXIT_ASSERTION,
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PRECONDITION,
     main,
@@ -52,16 +53,25 @@ def config_file(tmp_path):
     return write
 
 
-@pytest.fixture
-def no_sampling(monkeypatch):
-    """Fails a test that reaches the stability precheck or a sampler."""
+def _forbid_sampling(monkeypatch):
+    """From here on, fails a test that reaches the stability precheck or a sampler."""
 
     def fail(*args, **kwargs):
-        raise AssertionError("sampled before the config was checked")
+        raise AssertionError("sampled outside simulate, or before the config was checked")
 
     for name in ("sample_stationary_chain", "sample_perpetuity"):
         monkeypatch.setattr(engine, name, fail)
     monkeypatch.setattr("sfpe.cli.elton_precheck", fail)
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    _forbid_sampling(monkeypatch)
+
+
+def _simulate(path, *flags):
+    """Writes the batch that estimate and verify then read from the output directory."""
+    assert main(["simulate", "--config", path, *flags]) == EXIT_OK
 
 
 def _config_error(path, commands, named, capsys, *flags):
@@ -208,8 +218,11 @@ class TestSimulate:
 
 
 class TestEstimate:
-    def test_writes_exact_columns(self, config_file, tmp_path):
-        assert main(["estimate", "--config", config_file()]) == EXIT_OK
+    def test_writes_exact_columns(self, config_file, tmp_path, monkeypatch):
+        path = config_file()
+        _simulate(path)
+        _forbid_sampling(monkeypatch)
+        assert main(["estimate", "--config", path]) == EXIT_OK
         rows = (tmp_path / "out" / "estimate.csv").read_text().strip().split("\n")
         assert rows[0] == "t,p_hat,ci_lo,ci_hi,n_exceed,ref_tail,ratio,ratio_ci_lo,ratio_ci_hi"
         assert len(rows) == 21  # default 20-point grid
@@ -219,19 +232,73 @@ class TestEstimate:
         text = BASE_CONFIG.replace(
             "sigma = 0.45", "sigma = 0.45\nt_grid = quantile(points=20, lo=0.99, hi_exceed=300)"
         )
-        out = str(tmp_path / "reordered")
-        assert main(["estimate", "--config", config_file(text), "--out", out]) == EXIT_OK
+        out = tmp_path / "out" / "estimate.csv"
+        _simulate(config_file())
         assert main(["estimate", "--config", config_file()]) == EXIT_OK
-        assert (tmp_path / "reordered" / "estimate.csv").read_bytes() == (
-            tmp_path / "out" / "estimate.csv"
+        default = out.read_bytes()
+        assert main(["estimate", "--config", config_file(text)]) == EXIT_OK
+        assert out.read_bytes() == default
+
+    def test_batch_of_any_worker_count(self, config_file, tmp_path, monkeypatch):
+        # workers is not compared: a batch from 4 workers is read under 1
+        text = BASE_CONFIG.replace("workers = 1", "chunk_size = 20000\nworkers = 1")
+        four = config_file(text.replace("workers = 1", "workers = 4"))
+        _simulate(four, "--out", str(tmp_path / "w4"))
+        one = config_file(text)
+        _simulate(one, "--out", str(tmp_path / "w1"))
+        _forbid_sampling(monkeypatch)
+        for out in ("w1", "w4"):
+            assert main(["estimate", "--config", one, "--out", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / "w1" / "estimate.csv").read_bytes() == (
+            tmp_path / "w4" / "estimate.csv"
         ).read_bytes()
+
+    def test_perpetuity_batch(self, config_file, monkeypatch):
+        # the sidecar echoes the config that made the batch, so it matches
+        path = config_file(BASE_CONFIG.replace("method = chain", "method = perpetuity"))
+        _simulate(path)
+        _forbid_sampling(monkeypatch)
+        assert main(["estimate", "--config", path]) == EXIT_OK
+
+
+class TestBatchFile:
+    def test_missing_batch_is_precondition(self, config_file, capsys, no_sampling, tmp_path):
+        batch = tmp_path / "out" / "batch.bin"
+        for command in ("estimate", "verify"):
+            assert main([command, "--config", config_file()]) == EXIT_PRECONDITION, command
+            err = capsys.readouterr().err
+            assert str(batch) in err and "sfpe simulate" in err, err
+        batch.mkdir()  # a directory is no batch either
+        assert main(["estimate", "--config", config_file()]) == EXIT_PRECONDITION
+
+    def test_batch_of_another_config_is_config_error(self, config_file, capsys, monkeypatch):
+        _simulate(config_file())
+        _forbid_sampling(monkeypatch)
+        _config_error(config_file(), ("estimate", "verify"), "[sim]", capsys, "--seed", "7")
+        for old, new, named in (
+            ("n_samples = 50000", "n_samples = 40000", "[sim]"),
+            ("method = chain", "method = perpetuity", "[sim]"),
+            ("c_b = 1.0", "c_b = 0.5", "[model]"),
+        ):
+            path = config_file(BASE_CONFIG.replace(old, new))
+            _config_error(path, ("estimate", "verify"), named, capsys)
+
+    def test_unreadable_batch_is_numeric_failure(self, config_file, tmp_path, capsys):
+        path = config_file()
+        _simulate(path)
+        (tmp_path / "out" / "batch.bin.cfg").unlink()
+        assert main(["estimate", "--config", path]) == EXIT_NUMERIC
+        assert "batch.bin.cfg" in capsys.readouterr().err
 
 
 class TestVerify:
-    def test_report_and_exit_code(self, config_file, tmp_path):
+    def test_report_and_exit_code(self, config_file, tmp_path, monkeypatch):
         # at 5e4 samples the reliable range stops at small t where the
         # pre-asymptotic ratio exceeds the constant; expect assertion exit
-        code = main(["verify", "--config", config_file()])
+        path = config_file()
+        _simulate(path)
+        _forbid_sampling(monkeypatch)
+        code = main(["verify", "--config", path])
         rows = (tmp_path / "out" / "verify.csv").read_text().strip().split("\n")
         assert rows[0].endswith(",predicted,pass")
         assert code in (EXIT_OK, EXIT_ASSERTION)
@@ -242,20 +309,27 @@ class TestVerify:
         text = BASE_CONFIG.replace(
             "dependence = independent", "dependence = signed(p_plus=0.75)"
         ).replace("sigma = 0.45", "sigma = 0.45\nside = left")
-        code = main(["verify", "--config", config_file(text)])
+        path = config_file(text)
+        _simulate(path)
+        code = main(["verify", "--config", path])
         assert code in (EXIT_OK, EXIT_ASSERTION)
         rows = (tmp_path / "out" / "verify.csv").read_text().strip().split("\n")
         assert len(rows) == 21
 
-    def test_no_left_tail_is_precondition(self, config_file):
-        text = BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = left")
-        assert main(["verify", "--config", config_file(text)]) == EXIT_PRECONDITION
+    def test_no_left_tail_is_precondition(self, config_file, capsys):
+        path = config_file(BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = left"))
+        _simulate(path)
+        assert main(["verify", "--config", path]) == EXIT_PRECONDITION
+        assert "no usable tail" in capsys.readouterr().err
 
-    def test_no_closed_form_is_precondition(self, config_file):
+    def test_no_closed_form_is_precondition(self, config_file, capsys):
         text = BASE_CONFIG.replace("kind = affine", "kind = max_affine").replace(
             B_LINE + "dependence = independent\nc_b = 1.0", "dependence = equal"
         )
-        assert main(["verify", "--config", config_file(text)]) == EXIT_PRECONDITION
+        path = config_file(text)
+        _simulate(path)
+        assert main(["verify", "--config", path]) == EXIT_PRECONDITION
+        assert "no closed form" in capsys.readouterr().err
 
 
 class TestDistCheck:

@@ -13,7 +13,6 @@ from sfpe.dist import (
     InvalidParameterError,
     LogPareto,
     Pareto,
-    format_model,
     _newton_concave_increasing,
     log_view,
     parse_model,
@@ -319,11 +318,12 @@ class TestRegularVariation:
 class TestModelGrammar:
     @pytest.mark.parametrize("model", ALL_MODELS + [Constant(1.5)])
     def test_round_trip(self, model):
-        assert parse_model(format_model(model)) == model
+        assert parse_model(repr(model)) == model
 
     def test_parse_example(self):
         m = parse_model("log_pareto(alpha=2.0, beta=3.0, x0=0.4)")
         assert m == LogPareto(2.0, 3.0, 0.4)
+        assert repr(m) == "log_pareto(alpha=2.0, beta=3.0, x0=0.4)"
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="unknown model family"):

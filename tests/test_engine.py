@@ -535,9 +535,22 @@ class TestPersistence:
         loaded = load_batch(path)
         assert loaded.method == "perpetuity"
         assert loaded.config == SimConfig(n_samples=20, seed=1, chunk_size=7, method="perpetuity")
-        # without the sidecar every field but the header's count is a default
+        # a batch without its sidecar is not read
         (tmp_path / "batch.bin.cfg").unlink()
-        assert load_batch(path).config == SimConfig(n_samples=20)
+        with pytest.raises(EngineError, match="sidecar .*batch.bin.cfg"):
+            load_batch(path)
+
+    @pytest.mark.parametrize(
+        "line", ["seed = x", "seed 1", "burn_in = 0", "n_terms = ("],
+        ids=["bad-int", "no-equals", "bad-field", "bad-extra"],
+    )
+    def test_bad_sidecar_line_rejected(self, tmp_path, line):
+        path = tmp_path / "batch.bin"
+        save_batch(sample_perpetuity(INDEP, SimConfig(n_samples=20, seed=1)), path)
+        sidecar = tmp_path / "batch.bin.cfg"
+        sidecar.write_text(sidecar.read_text() + line + "\n")
+        with pytest.raises(EngineError, match="sidecar .*batch.bin.cfg"):
+            load_batch(path)
 
     def test_round_trip_keeps_extra(self, tmp_path):
         batch = sample_perpetuity(INDEP, SimConfig(n_samples=20, seed=1))

@@ -88,21 +88,18 @@ class CoeffLaw:
 class MapFamily:
     """One of the supported Psi families with its coefficient law.
 
-    extra pieces: pos_part_affine carries a lower bound b > 0 with B > -b;
-    sqrt_log carries a third nonnegative coefficient C with tail constant c_c.
+    sqrt_log carries a third nonnegative coefficient C with tail constant
+    c_c; the other kinds need nothing beyond (A, B).
     """
 
     kind: str
     coeff: CoeffLaw
-    b_lower: float = 0.0
     marginal_c: TailModel | None = None
     c_c: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.kind == POS_PART_AFFINE and not self.b_lower > 0:
-            raise ValueError("pos_part_affine requires a lower bound b_lower > 0")
         if self.kind == SQRT_LOG and self.marginal_c is None:
             raise ValueError("sqrt_log requires a third coefficient law C")
 
@@ -214,24 +211,17 @@ def f_minus(family: MapFamily, y, alpha: float):
 class EltonReport:
     e_log_lip: float
     se_log_lip: float
-    e_logplus_lip: float
-    se_logplus_lip: float
-    e_log_disp: float
-    se_log_disp: float
     passed: bool
 
 
-def _mean_se(x):
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    m = float(x.mean())
-    se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return m, se
-
-
 def elton_precheck(family: MapFamily, n_mc: int, rng: np.random.Generator) -> EltonReport:
-    """Monte Carlo check of E[log L] < 0, E[log+ L] < inf and the displacement
-    moment at x0 = 0."""
+    """Monte Carlo check that the maps contract on average, E[log L] < 0 for
+    the Lipschitz constant L: passed when the mean of log L plus three
+    standard errors is below 0.
+
+    That is all it checks.  A draw whose L or Psi(0) is not finite raises
+    ArithmeticError; a sample mean cannot show that E[log+ L] or a moment of
+    the displacement is finite."""
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
     a, b, c = draw_coeffs(family, n_mc, rng)
@@ -249,13 +239,6 @@ def elton_precheck(family: MapFamily, n_mc: int, rng: np.random.Generator) -> El
         # log of a zero Lipschitz constant is -inf; treat as strongly contracting
         lip = np.maximum(lip, 1e-300)
     log_lip = np.log(lip)
-    e_log, se_log = _mean_se(log_lip)
-    e_logp, se_logp = _mean_se(np.maximum(log_lip, 0.0))
-    disp = np.log(np.maximum(np.abs(psi0), 1e-300))
-    e_disp, se_disp = _mean_se(disp)
-    passed = (
-        e_log + 3.0 * se_log < 0.0
-        and math.isfinite(e_logp)
-        and math.isfinite(e_disp)
-    )
-    return EltonReport(e_log, se_log, e_logp, se_logp, e_disp, se_disp, passed)
+    e_log = float(log_lip.mean())
+    se_log = float(log_lip.std(ddof=1) / math.sqrt(n_mc))
+    return EltonReport(e_log, se_log, e_log + 3.0 * se_log < 0.0)

@@ -140,7 +140,8 @@ def hill(batch, k: int) -> float:
 
 
 def plugin_moment(batch, g):
-    """Sample mean of g(x_i) with jackknife standard error.
+    """Sample mean of g(x_i) with its standard error std(ddof=1) / sqrt(n),
+    which is also the leave-one-out jackknife's for a mean.
 
     g is a vectorized callable, e.g. `lambda y: np.maximum(y, 0.0) ** alpha`
     or a closed-form one-step functional `maps.f_plus` / `maps.f_minus` at
@@ -149,15 +150,8 @@ def plugin_moment(batch, g):
     gx = np.asarray(g(values), dtype=float)
     if not np.all(np.isfinite(gx)):
         raise ValueError("moment estimate non-finite; check the tail index")
-    n = gx.size
-    mean = float(gx.mean())
-    # leave-one-out jackknife; for the plain mean this reduces to std/sqrt(n)
-    if n > 1:
-        loo = (n * mean - gx) / (n - 1)
-        se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    else:
-        se = 0.0
-    return mean, se
+    se = float(gx.std(ddof=1) / np.sqrt(gx.size)) if gx.size > 1 else 0.0
+    return float(gx.mean()), se
 
 
 def default_grid(batch, lo=0.99, hi_exceed=RELIABLE_EXCEED, points=20, side=+1):

@@ -15,6 +15,7 @@ from sfpe.cli import (
     EXIT_PRECONDITION,
     main,
 )
+from sfpe.dist import ExpPoly
 
 B_LINE = "b = log_pareto(alpha=2.0, beta=3.0, x0=0.4)\n"
 BASE_CONFIG = """\
@@ -127,6 +128,8 @@ class TestConfig:
             ("sigma = 0.45", "sigma = 0.45\nsid = left", "[analysis] sid"),
             ("n_samples = 50000", "n_samples = 50000\nburnin = 4", "[sim] burnin"),
             ("[output]", "[outptu]", "[outptu]"),
+            # no output depended on it: the bound of B is B's own law
+            ("c_b = 1.0", "c_b = 1.0\nb_lower = 0.5", "[model] b_lower"),
         ],
     )
     def test_unknown_key_is_config_error(self, config_file, capsys, no_sampling, old, new, named):
@@ -253,6 +256,13 @@ class TestEstimate:
             tmp_path / "w4" / "estimate.csv"
         ).read_bytes()
 
+    def test_pos_part_affine_batch(self, config_file, monkeypatch):
+        # the kind takes no key beyond those of affine
+        path = config_file(BASE_CONFIG.replace("kind = affine", "kind = pos_part_affine"))
+        _simulate(path)
+        _forbid_sampling(monkeypatch)
+        assert main(["estimate", "--config", path]) == EXIT_OK
+
     def test_perpetuity_batch(self, config_file, monkeypatch):
         # the sidecar echoes the config that made the batch, so it matches
         path = config_file(BASE_CONFIG.replace("method = chain", "method = perpetuity"))
@@ -268,7 +278,8 @@ class TestBatchFile:
             assert main([command, "--config", config_file()]) == EXIT_PRECONDITION, command
             err = capsys.readouterr().err
             assert str(batch) in err and "sfpe simulate" in err, err
-        batch.mkdir()  # a directory is no batch either
+        assert not batch.parent.exists()  # only a command that writes makes it
+        batch.mkdir(parents=True)  # a directory is no batch either
         assert main(["estimate", "--config", config_file()]) == EXIT_PRECONDITION
 
     def test_batch_of_another_config_is_config_error(self, config_file, capsys, monkeypatch):
@@ -348,6 +359,41 @@ class TestDistCheck:
             "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)", "a = exp_poly(alpha=1.0, p=-2.0, t0=1.0)"
         ).replace("alpha = 2.0", "alpha = 1.0\nchecks = dom")
         assert main(["dist-check", "--config", config_file(text)]) == EXIT_OK
+
+    def test_smallint_row_holds_the_final_integral(self, config_file, tmp_path):
+        text = BASE_CONFIG.replace(
+            "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)", "a = exp_poly(alpha=1.0, p=-2.0, t0=1.0)"
+        ).replace("alpha = 2.0", "alpha = 1.0\nchecks = smallint")
+        assert main(["dist-check", "--config", config_file(text)]) == EXIT_OK
+        rows = (tmp_path / "out" / "dist_check.csv").read_text().strip().split("\n")
+        rep = theory.appendix_smallint_diagnostic(
+            ExpPoly(1.0, -2.0, 1.0), 1.0, [1, 2, 4], [20, 40, 80, 160]
+        )
+        assert len(rows) == 2
+        check, detail, value, passed = rows[1].split(",")
+        assert (check, detail, passed) == ("smallint", "final_integral", str(int(rep.passed)))
+        assert float(value) == rep.integrals[-1][-1]
+
+    def test_readme_lists_every_row(self, config_file, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("### `dist_check.csv`")[1].split("\n#")[0]
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", table, re.MULTILINE)
+        assert len(rows) == len(set(rows))
+        written = set()
+        # two laws on which every check runs without a warning
+        for spec, alpha, extra in (
+            ("log_pareto(alpha=2.0, beta=3.0, x0=0.4)", "2.0",
+             "checks = uniformity,product\nn_products = 1000"),
+            ("exp_stretched(alpha=1.0, beta=1.0, gamma=0.5, t0=1.0)", "1.0",
+             "checks = dom,convex,convolution,smallint\ngamma = 0.5"),
+        ):
+            text = BASE_CONFIG.replace(
+                "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)", f"a = {spec}"
+            ).replace("alpha = 2.0", f"alpha = {alpha}\n{extra}")
+            assert main(["dist-check", "--config", config_file(text)]) in (EXIT_OK, EXIT_ASSERTION)
+            lines = (tmp_path / "out" / "dist_check.csv").read_text().strip().split("\n")
+            written |= {tuple(line.split(",")[:2]) for line in lines[1:]}
+        assert set(rows) == written
 
     def test_too_few_products_is_config_error(self, config_file):
         for n in (0, 1):

@@ -79,6 +79,11 @@ def sqrtlog(x):
     return np.sqrt(np.maximum(x, 0.0)) * np.log(np.maximum(x, 1.0))
 
 
+# the positive-part envelope holds for x > -X_LOW; with B > 0 the chain
+# itself stays above 0
+X_LOW = 0.5
+
+
 def envelope(fam, a, b, c):
     """(coefficient, phi) with |Psi(x) - A x| <= coefficient * phi(|x|), per
     drawn map (columns)."""
@@ -87,7 +92,7 @@ def envelope(fam, a, b, c):
     if fam.kind == MAX_AFFINE:
         return b, lambda x: np.ones_like(x)
     if fam.kind == POS_PART_AFFINE:
-        return a * fam.b_lower + b, lambda x: np.ones_like(x)
+        return a * X_LOW + b, lambda x: np.ones_like(x)
     return b + c, lambda x: sqrtlog(x) + 1.0
 
 
@@ -97,18 +102,18 @@ class TestDecomposition:
         [
             indep_family(AFFINE),
             indep_family(MAX_AFFINE),
-            indep_family(POS_PART_AFFINE, b_lower=0.5),
+            indep_family(POS_PART_AFFINE),
             indep_family(SQRT_LOG, marginal_c=Constant(1.0), c_c=0.0),
         ],
     )
     def test_envelope_bound(self, fam):
         rng = np.random.default_rng(11)
         # the decomposition bound is stated on the chain's support:
-        # x >= 0 for max-affine, x > -b for the positive-part family
+        # x >= 0 for max-affine, x > -X_LOW for the positive-part family
         if fam.kind == MAX_AFFINE:
             x = np.linspace(0.0, 20.0, 81)
         elif fam.kind == POS_PART_AFFINE:
-            x = np.linspace(-fam.b_lower, 20.0, 81)
+            x = np.linspace(-X_LOW, 20.0, 81)
         else:
             x = np.linspace(-20.0, 20.0, 81)
         a, b, c = draw_coeffs(fam, 1000, rng)
@@ -119,7 +124,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("kind", [MAX_AFFINE, POS_PART_AFFINE])
     def test_monotone_for_positive_a(self, kind):
-        fam = indep_family(kind, b_lower=0.5 if kind == POS_PART_AFFINE else 0.0)
+        fam = indep_family(kind)
         rng = np.random.default_rng(5)
         x = np.linspace(-10.0, 10.0, 201)[:, None]
         a, b, c = draw_coeffs(fam, 200, rng)

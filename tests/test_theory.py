@@ -289,11 +289,14 @@ class TestUniformity:
     def test_pareto_float_exact(self):
         rep = rv_uniformity_check(Pareto(2.0, 1.0), 2.0, 0.1, [1e2, 1e3, 1e4])
         assert np.all(rep.sup_dev <= 1e-12)
+        assert not rep.strictly_decreasing
+        assert rep.passed  # on exact zeros, which cannot decrease
 
     def test_log_pareto_strictly_decreasing(self):
         rep = rv_uniformity_check(LogPareto(2.0, 3.0, 0.4), 2.0, 0.1, [1e2, 1e3, 1e4])
         assert rep.strictly_decreasing
         assert not rep.below_threshold  # logarithmic decay; see the ledger
+        assert rep.passed
 
     def test_larger_c_no_larger_deviation(self):
         lp = LogPareto(2.0, 3.0, 0.4)

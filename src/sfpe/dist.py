@@ -45,7 +45,6 @@ __all__ = [
     "ExpStretched",
     "Constant",
     "LogView",
-    "log_view",
     "parse_spec",
     "parse_model",
 ]
@@ -144,6 +143,8 @@ class TailModel:
     docstring says what a family states and what this class owns."""
 
     family: str = "base"
+    # a power tail: the class checks of theory run on log X (see LogView)
+    regularly_varying: bool = False
 
     @property
     def support_low(self) -> float:
@@ -244,6 +245,7 @@ class Pareto(TailModel):
 
     family = "pareto"
     support_low = property(attrgetter("x0"))
+    regularly_varying = True
     exp_moment = _power_tail_exp_moment
 
     def __post_init__(self):
@@ -287,6 +289,7 @@ class LogPareto(TailModel):
 
     family = "log_pareto"
     support_low = property(attrgetter("x0"))
+    regularly_varying = True
     exp_moment = _power_tail_exp_moment
 
     def __post_init__(self):
@@ -446,15 +449,16 @@ class Constant(TailModel):
 class LogView:
     """Pushforward of a positive-support model under log: survival(t) = S(e^t).
 
-    Used by the convolution-equivalence checks, which live on the log scale.
-    The exponential moment on this scale equals the power moment of the base.
+    The class checks of theory live on this scale for a regularly varying
+    base, and the product A A' is the sum log A + log A' on it.  The
+    exponential moment on this scale equals the power moment of the base.
     """
 
     base: TailModel
 
     def __post_init__(self):
         if self.base.support_low <= 0:
-            raise ValueError("log_view requires support on the positive reals")
+            raise ValueError("LogView requires support on the positive reals")
 
     @property
     def support_low(self):
@@ -468,19 +472,8 @@ class LogView:
     def log_survival(self, t):
         return self.base.log_survival_logx(t)
 
-    def quantile(self, u):
-        return _scalar(np.log(self.base.quantile(u)))
-
     def exp_moment(self, s):
         return self.base.alpha_moment(s)
-
-    def sample(self, n, rng):
-        return np.log(self.base.sample(n, rng))
-
-
-def log_view(model: TailModel) -> LogView:
-    """Survival of log X for a positive random variable X."""
-    return LogView(model)
 
 
 # --- spec grammar: name(key=value, ...) -----------------------------------

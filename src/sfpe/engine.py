@@ -76,7 +76,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        self.check_seed(self.seed)
+        if not 0 <= self.seed < 2**64:  # the seed keys every Philox stream
+            raise ValueError("seed must be in [0, 2**64)")
         if self.burn_in < 1:
             raise ValueError("burn_in must be >= 1")
         if self.chunk_size < 1:
@@ -85,13 +86,6 @@ class SimConfig:
             raise ValueError("truncation_eps must be in (0, 1)")
         if self.method not in (CHAIN, PERPETUITY):
             raise ValueError(f"unknown method {self.method!r}")
-
-    @staticmethod
-    def check_seed(seed: int) -> int:
-        """seed, which keys every Philox stream, must lie in [0, 2**64)."""
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must be in [0, 2**64)")
-        return seed
 
 
 @dataclass

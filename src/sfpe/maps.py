@@ -214,7 +214,7 @@ class EltonReport:
     passed: bool
 
 
-def elton_precheck(family: MapFamily, n_mc: int, rng: np.random.Generator) -> EltonReport:
+def elton_precheck(family: MapFamily, n_draws: int, rng: np.random.Generator) -> EltonReport:
     """Monte Carlo check that the maps contract on average, E[log L] < 0 for
     the Lipschitz constant L: passed when the mean of log L plus three
     standard errors is below 0.
@@ -222,14 +222,14 @@ def elton_precheck(family: MapFamily, n_mc: int, rng: np.random.Generator) -> El
     That is all it checks.  A draw whose L or Psi(0) is not finite raises
     ArithmeticError; a sample mean cannot show that E[log+ L] or a moment of
     the displacement is finite."""
-    if n_mc < 1000:
-        raise ValueError("n_mc must be >= 1000")
-    a, b, c = draw_coeffs(family, n_mc, rng)
+    if n_draws < 1000:
+        raise ValueError("n_draws must be >= 1000")
+    a, b, c = draw_coeffs(family, n_draws, rng)
     if family.kind == SQRT_LOG:
         lip = np.abs(a) + np.abs(b)
     else:
         lip = np.abs(a)
-    psi0 = apply_map(family.kind, a, b, c, np.zeros(n_mc))
+    psi0 = apply_map(family.kind, a, b, c, np.zeros(n_draws))
     if not (np.all(np.isfinite(lip)) and np.all(np.isfinite(psi0))):
         i = int(np.argmax(~(np.isfinite(lip) & np.isfinite(psi0))))
         raise ArithmeticError(
@@ -240,5 +240,5 @@ def elton_precheck(family: MapFamily, n_mc: int, rng: np.random.Generator) -> El
         lip = np.maximum(lip, 1e-300)
     log_lip = np.log(lip)
     e_log = float(log_lip.mean())
-    se_log = float(log_lip.std(ddof=1) / math.sqrt(n_mc))
+    se_log = float(log_lip.std(ddof=1) / math.sqrt(n_draws))
     return EltonReport(e_log, se_log, e_log + 3.0 * se_log < 0.0)

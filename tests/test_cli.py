@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from sfpe.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from sfpe.dist import ExpPoly
+from sfpe.dist import ExpPoly, LogPareto
 
 B_LINE = "b = log_pareto(alpha=2.0, beta=3.0, x0=0.4)\n"
 BASE_CONFIG = """\
@@ -119,7 +120,7 @@ class TestConfig:
         for old, new, named, commands in cases:
             path = config_file(BASE_CONFIG.replace(old, new))
             _config_error(path, commands, named, capsys)
-        _config_error(config_file(), ("simulate", "dist-check"), "[sim] seed", capsys, "--seed", "-1")
+        _config_error(config_file(), ("simulate",), "[sim] seed", capsys, "--seed", "-1")
 
     @pytest.mark.parametrize(
         "old, new, named",
@@ -130,6 +131,8 @@ class TestConfig:
             ("[output]", "[outptu]", "[outptu]"),
             # no output depended on it: the bound of B is B's own law
             ("c_b = 1.0", "c_b = 1.0\nb_lower = 0.5", "[model] b_lower"),
+            # the product check draws nothing: it is the convolution kernel on log A
+            ("alpha = 2.0", "alpha = 2.0\nn_products = 1000000", "[analysis] n_products"),
         ],
     )
     def test_unknown_key_is_config_error(self, config_file, capsys, no_sampling, old, new, named):
@@ -345,14 +348,33 @@ class TestVerify:
 
 class TestDistCheck:
     def test_uniformity_and_product(self, config_file, tmp_path):
-        text = BASE_CONFIG.replace(
-            "alpha = 2.0", "alpha = 2.0\nchecks = uniformity,product\nn_products = 200000"
-        )
-        code = main(["dist-check", "--config", config_file(text)])
+        text = BASE_CONFIG.replace("alpha = 2.0", "alpha = 2.0\nchecks = uniformity,product")
+        assert main(["dist-check", "--config", config_file(text)]) == EXIT_OK
         rows = (tmp_path / "out" / "dist_check.csv").read_text().strip().split("\n")
         assert rows[0] == "check,detail,value,pass"
-        assert any(r.startswith("product,target,0.64") for r in rows)
-        assert code in (EXIT_OK, EXIT_ASSERTION)
+        rep = theory.product_convolution_check(LogPareto(2.0, 3.0, 0.4), 2.0, [2, 4, 8, 15])
+        assert rows[2:] == [
+            f"product,final_ratio,{float(rep.estimates[-1])!r},1",
+            "product,target,0.6400000000000001,1",
+        ]
+
+    def test_seed_changes_no_row(self, config_file, tmp_path):
+        # dist-check draws nothing, so [sim] seed and --seed act on no value
+        text = BASE_CONFIG.replace("alpha = 2.0", "alpha = 2.0\nchecks = uniformity,product")
+        written = []
+        for seed in ("1", "2"):
+            assert main(["dist-check", "--config", config_file(text), "--seed", seed]) == EXIT_OK
+            written.append((tmp_path / "out" / "dist_check.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_class_checks_of_a_power_tail_run_on_log_a(self, config_file, tmp_path):
+        # on A itself the tilted tail e^(alpha t) P[A > t] overflows
+        text = BASE_CONFIG.replace("alpha = 2.0", "alpha = 2.0\nchecks = dom,convolution,smallint")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["dist-check", "--config", config_file(text)]) == EXIT_OK
+        rows = (tmp_path / "out" / "dist_check.csv").read_text().strip().split("\n")
+        assert rows[3] == "convolution,target,0.6400000000000001,1"
 
     def test_dom_check_via_cli(self, config_file, tmp_path):
         text = BASE_CONFIG.replace(
@@ -367,7 +389,7 @@ class TestDistCheck:
         assert main(["dist-check", "--config", config_file(text)]) == EXIT_OK
         rows = (tmp_path / "out" / "dist_check.csv").read_text().strip().split("\n")
         rep = theory.appendix_smallint_diagnostic(
-            ExpPoly(1.0, -2.0, 1.0), 1.0, [1, 2, 4], [20, 40, 80, 160]
+            ExpPoly(1.0, -2.0, 1.0), [1, 2, 4], [20, 40, 80, 160]
         )
         assert len(rows) == 2
         check, detail, value, passed = rows[1].split(",")
@@ -383,7 +405,7 @@ class TestDistCheck:
         # two laws on which every check runs without a warning
         for spec, alpha, extra in (
             ("log_pareto(alpha=2.0, beta=3.0, x0=0.4)", "2.0",
-             "checks = uniformity,product\nn_products = 1000"),
+             "checks = uniformity,product"),
             ("exp_stretched(alpha=1.0, beta=1.0, gamma=0.5, t0=1.0)", "1.0",
              "checks = dom,convex,convolution,smallint\ngamma = 0.5"),
         ):
@@ -394,13 +416,6 @@ class TestDistCheck:
             lines = (tmp_path / "out" / "dist_check.csv").read_text().strip().split("\n")
             written |= {tuple(line.split(",")[:2]) for line in lines[1:]}
         assert set(rows) == written
-
-    def test_too_few_products_is_config_error(self, config_file):
-        for n in (0, 1):
-            text = BASE_CONFIG.replace(
-                "alpha = 2.0", f"alpha = 2.0\nchecks = product\nn_products = {n}"
-            )
-            assert main(["dist-check", "--config", config_file(text)]) == EXIT_CONFIG, n
 
     def test_convex_check_via_cli(self, config_file):
         text = BASE_CONFIG.replace(

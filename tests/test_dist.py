@@ -12,9 +12,9 @@ from sfpe.dist import (
     ExpStretched,
     InvalidParameterError,
     LogPareto,
+    LogView,
     Pareto,
     _newton_concave_increasing,
-    log_view,
     parse_model,
 )
 
@@ -265,12 +265,12 @@ class TestMoments:
 
 class TestLogView:
     def test_pareto_becomes_exponential(self):
-        lv = log_view(Pareto(2.0, 1.0))
+        lv = LogView(Pareto(2.0, 1.0))
         t = np.linspace(0.0, 20.0, 100)
         np.testing.assert_allclose(lv.survival(t), np.exp(-2.0 * t), rtol=1e-12)
 
     def test_log_pareto_form(self):
-        lv = log_view(LogPareto(2.0, 3.0, 1.0))
+        lv = LogView(LogPareto(2.0, 3.0, 1.0))
         t = np.linspace(0.001, 20.0, 100)
         np.testing.assert_allclose(
             lv.survival(t), np.exp(-2.0 * t) * (1.0 + t) ** -3.0, rtol=1e-12
@@ -278,20 +278,20 @@ class TestLogView:
 
     def test_pointwise_vs_direct(self):
         m = ExpPoly(1.0, -2.0, 1.0)
-        lv = log_view(m)
+        lv = LogView(m)
         t = np.linspace(0.0, 5.0, 100)
         np.testing.assert_allclose(lv.survival(t), m.survival(np.exp(t)), rtol=1e-12)
 
     def test_exp_moment_is_base_power_moment(self):
         m = LogPareto(2.0, 3.0, 0.4)
-        assert log_view(m).exp_moment(2.0) == pytest.approx(0.32)
+        assert LogView(m).exp_moment(2.0) == pytest.approx(0.32)
 
     def test_rejects_signed_support(self):
         with pytest.raises(ValueError):
-            log_view(Constant(-1.0))
+            LogView(Constant(-1.0))
 
     def test_log_survival_no_overflow(self):
-        lv = log_view(Pareto(2.0, 1.0))
+        lv = LogView(Pareto(2.0, 1.0))
         # far beyond where exp(t) overflows, the log-survival stays exact
         assert lv.log_survival(5000.0) == pytest.approx(-10000.0)
 

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from sfpe.dist import Constant, ExpPoly, ExpStretched, LogPareto, Pareto, log_view
+from sfpe.dist import Constant, ExpPoly, ExpStretched, LogPareto, LogView, Pareto
 from sfpe.theory import (
     PreconditionError,
     Prediction,
@@ -153,7 +154,7 @@ class TestSalphaDom:
         assert rep.doubling_min == pytest.approx(0.25, rel=1e-6)
 
     def test_constant_k_fails_integrability(self):
-        rep = salpha_check_dom(log_view(Pareto(2.0, 1.0)), 2.0)
+        rep = salpha_check_dom(LogView(Pareto(2.0, 1.0)), 2.0)
         assert not rep.pass_integral
         assert rep.pass_shift and rep.pass_doubling
         assert not rep.passed
@@ -251,7 +252,7 @@ class TestSmallIntegral:
         # the x -> infinity stabilization is O(1/x); doubling from 320 is the
         # first step where all v rows land within the 5% window
         mat, stabilized, v_monotone = appendix_smallint_diagnostic(
-            ep, 1.0, [1.0, 2.0, 4.0], [80.0, 160.0, 320.0, 640.0], n_grid=100_000
+            ep, [1.0, 2.0, 4.0], [80.0, 160.0, 320.0, 640.0], n_grid=100_000
         )
         assert stabilized
         assert v_monotone
@@ -259,30 +260,46 @@ class TestSmallIntegral:
 
     def test_empty_range_is_zero(self):
         ep = ExpPoly(1.0, -2.0, 1.0)
-        mat, _, _ = appendix_smallint_diagnostic(ep, 1.0, [10.0], [15.0], n_grid=1000)
+        mat, _, _ = appendix_smallint_diagnostic(ep, [10.0], [15.0], n_grid=1000)
         assert mat[0, 0] == 0.0
 
 
 class TestProductConvolution:
     def test_log_pareto_target(self):
         lp = LogPareto(2.0, 3.0, 0.4)
-        rng = np.random.default_rng(7)
-        rep = product_convolution_check(lp, 2.0, [2.0, 4.0, 8.0, 15.0], 3_000_000, rng)
+        rep = product_convolution_check(lp, 2.0, [2.0, 4.0, 8.0, 15.0])
+        assert rep.target == 2.0 * lp.alpha_moment(2.0)
         assert rep.target == pytest.approx(0.64)
         assert rep.monotone_ok
 
+    def test_matches_quad_of_product_tail(self):
+        # P[A A' > t] = S(t/x0) + int_{x0}^{t/x0} S(t/a) dF(a), here by
+        # adaptive quadrature in u = log(a/x0) of the closed-form density
+        alpha, beta, x0 = 2.0, 3.0, 0.4
+        lp = LogPareto(alpha, beta, x0)
+
+        def density(u):  # of u = log(A/x0)
+            return math.exp(-alpha * u) * (1.0 + u) ** -beta * (alpha + beta / (1.0 + u))
+
+        def ratio(t):
+            val, _ = quad(
+                lambda u: float(lp.survival(t / (x0 * math.exp(u)))) * density(u),
+                0.0, math.log(t / x0**2), epsabs=0.0, epsrel=1e-12, limit=200,
+            )
+            return (val + float(lp.survival(t / x0))) / float(lp.survival(t))
+
+        t_list = [2.0, 4.0, 8.0, 15.0]
+        rep = product_convolution_check(lp, alpha, t_list)
+        np.testing.assert_allclose(rep.estimates, [ratio(t) for t in t_list], rtol=1e-9)
+
     def test_point_mass_rejected(self):
         with pytest.raises(PreconditionError, match="not regularly varying"):
-            product_convolution_check(
-                Constant(2.0), 2.0, [1.0], 1000, np.random.default_rng(0)
-            )
+            product_convolution_check(Constant(2.0), 2.0, [1.0])
 
     def test_divergent_moment_refuses_assertion(self):
-        rep = product_convolution_check(
-            Pareto(2.0, 1.0), 2.0, [10.0, 20.0], 10_000, np.random.default_rng(0)
-        )
-        assert rep.target == math.inf
-        assert not rep.passed
+        # E[A^2] = inf for Pareto(2, 1), as in the convolution check
+        with pytest.raises(PreconditionError, match="not finite"):
+            product_convolution_check(Pareto(2.0, 1.0), 2.0, [10.0, 20.0])
 
 
 class TestUniformity:
@@ -297,6 +314,15 @@ class TestUniformity:
         assert rep.strictly_decreasing
         assert not rep.below_threshold  # logarithmic decay; see the ledger
         assert rep.passed
+
+    def test_underflowed_tail_gives_inf_not_nan(self):
+        # P[A > 1e3] underflows to 0 here; the ratio of log tails does not,
+        # and it overflows to inf where the tail falls faster than any power
+        rep = rv_uniformity_check(ExpStretched(1.0, 1.0, 0.5, 1.0), 1.0, 0.1, [1e2, 1e3, 1e4])
+        assert float(ExpStretched(1.0, 1.0, 0.5, 1.0).survival(1e3)) == 0.0
+        assert not np.any(np.isnan(rep.sup_dev))
+        assert rep.sup_dev[-1] == math.inf
+        assert not rep.passed
 
     def test_larger_c_no_larger_deviation(self):
         lp = LogPareto(2.0, 3.0, 0.4)

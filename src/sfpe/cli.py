@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csv_text, engine, tailstats, theory
-from .dist import LogView, parse_model, parse_spec
+from .dist import Constant, LogView, parse_model, parse_spec
 from .maps import (
     AFFINE,
     EQUAL,
@@ -190,27 +190,6 @@ def build_family(cfg: ExperimentConfig) -> MapFamily:
         raise ConfigError(f"[model] {exc}") from None
 
 
-def _sim_fields(cfg: ExperimentConfig, seed_override):
-    """[sim] as SimConfig keywords: each field given, or its default (MISSING
-    where it has none), with --seed over [sim] seed."""
-    sim = cfg.values["sim"]
-    kwargs = {f.name: sim.get(f.name, f.default) for f in fields(engine.SimConfig)}
-    if seed_override is not None:
-        kwargs.update(seed=seed_override)
-    return kwargs
-
-
-def build_sim_config(cfg: ExperimentConfig, seed_override=None) -> engine.SimConfig:
-    kwargs = _sim_fields(cfg, seed_override)
-    for key, value in kwargs.items():
-        if value is MISSING:
-            raise ConfigError(f"missing [sim] {key}")
-    try:
-        return engine.SimConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[sim] {exc}") from None
-
-
 def _out_dir(cfg, args):
     return Path(args.out or cfg.get("output", "dir", "."))
 
@@ -224,9 +203,21 @@ def _out_file(cfg, args, name):
 
 
 def _sampling(cfg, args):
-    """(family, SimConfig), checked together before any sampling."""
+    """(family, SimConfig), checked together before any sampling.  Each
+    SimConfig field is its [sim] key if given, else its default, and one
+    with neither is a config error; --seed is over [sim] seed."""
     family = build_family(cfg)
-    sim_cfg = build_sim_config(cfg, args.seed)
+    sim = cfg.values["sim"]
+    kwargs = {f.name: sim.get(f.name, f.default) for f in fields(engine.SimConfig)}
+    if args.seed is not None:
+        kwargs.update(seed=args.seed)
+    for key, value in kwargs.items():
+        if value is MISSING:
+            raise ConfigError(f"missing [sim] {key}")
+    try:
+        sim_cfg = engine.SimConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[sim] {exc}") from None
     if sim_cfg.method == engine.PERPETUITY and family.kind != AFFINE:
         raise ConfigError(f"[sim] method = perpetuity needs [model] kind = affine: {family.kind}")
     return family, sim_cfg
@@ -356,6 +347,8 @@ def cmd_dist_check(cfg, args):
     checks = cfg.get("analysis", "checks", ["uniformity", "product"])
     if "convex" in checks:
         gamma = cfg.get("analysis", "gamma")
+    if isinstance(model, Constant):
+        raise theory.PreconditionError("[model] a is a point mass, which has no tail to check")
     # the class checks run on the scale where the law's tail is studied
     scaled = LogView(model) if model.regularly_varying else model
     rows = []

@@ -2,7 +2,7 @@
 
 Every model exposes the same small surface: ``survival`` (exact, vectorized),
 ``log_survival``, ``quantile`` (inverse survival), ``sample`` (inverse
-transform), ``alpha_moment`` (power moments E[X^s], closed form where
+transform), ``alpha_moment`` (power moments E|X|^s, closed form where
 available, adaptive quadrature otherwise), ``exp_moment`` (exponential
 moments E[e^{sX}]) and ``params``.  Models are immutable after construction
 and safe to share between workers.
@@ -19,12 +19,13 @@ and an array of the same shape for an array, and ``params`` and the keys
 own ``survival`` and ``log_survival``, since a point mass has survival 0 at
 c itself.
 
-The LogPareto and ExpPoly quantiles are the hot kernel of the sampler and
-of the smoothing quadrature.  Both reduce to a v + b log1p(v) = -log u and
-share one solver, `_solve_log1p`: Newton steps from the first-order inverse,
-written into preallocated arrays, with each element stopping on its own.
-ExpStretched keeps the generic `_newton_concave_increasing`, whose elements
-also stop on their own.
+The LogPareto, ExpPoly and ExpStretched quantiles (the first two are the
+hot kernel of the sampler and of the smoothing quadrature) all reduce to
+a v + b phi_g(v) = -log u, with phi_0 = log1p for the first two and
+phi_g(v) = expm1(g log1p(v)) / g, g = gamma, for ExpStretched.  One solver,
+`_solve_log1p`, serves all three: Newton steps from the first-order
+inverse, written into preallocated arrays, with each element stopping on
+its own.
 """
 
 from __future__ import annotations
@@ -56,46 +57,33 @@ class InvalidParameterError(ValueError):
     """Model parameters outside the admissible range."""
 
 
-def _newton_concave_increasing(g, gprime, w, v0, max_iter=60, tol=1e-15):
-    """Solve g(v) = w elementwise for concave increasing g, starting above the root.
-
-    One step from above lands below the root; afterwards the iteration is
-    monotone increasing, so convergence is guaranteed and quadratic.  Each
-    element stops at its own first small step and the rest go on alone, so
-    an element's root does not depend on the other elements of the call.
-    """
-    root = np.array(v0, dtype=float)
-    flat = root.reshape(-1)  # a view: writes land in root
-    v, w = flat, np.broadcast_to(w, root.shape).reshape(-1)
-    active = np.arange(flat.size)
-    for _ in range(max_iter):
-        step = (g(v) - w) / gprime(v)
-        v = np.maximum(v - step, 0.0)
-        flat[active] = v
-        live = np.abs(step) > tol * (1.0 + np.abs(v))
-        if not live.any():
-            break
-        active, v, w = active[live], v[live], w[live]
-    return root
+def _phi(x, g, out):
+    """phi_g(x) into out: log1p(x) for g = 0, expm1(g log1p(x)) / g for 0 < g < 1."""
+    np.log1p(x, out=out)
+    if g:
+        out *= g
+        np.expm1(out, out=out)
+        out /= g
 
 
-def _solve_log1p(a, b, u, max_iter=60, tol=1e-15):
-    """Solve a v + b log1p(v) = -log(u) (a, b > 0, u in (0, 1]) elementwise.
+def _solve_log1p(a, b, u, g=0.0, max_iter=60, tol=1e-15):
+    """Solve a v + b phi_g(v) = -log(u) (a, b > 0, 0 <= g < 1, u in (0, 1])
+    elementwise; phi_g is `_phi`, with derivative (1 + v)^(g - 1).
 
-    The left side is concave and increasing, so Newton's method converges
-    from any start: the first step lands at or below the root, and from
-    below the iteration rises monotonically.  It starts from the first-order
-    inverse max((w - b log1p(w / (a + b))) / a, 0), w = -log(u), which is
-    right to first order both as w -> 0 and as w -> inf, so the step test of
-    `_newton_concave_increasing` runs only from the fourth step on.  There
-    each element stops at its own first small step and the rest go on
-    alone, so an element's root does not depend on the other elements of
-    the call.  The steps write into preallocated arrays; `u` is only read.
+    phi_g is concave and increasing, so Newton's method converges from any
+    start: the first step lands at or below the root, and from below the
+    iteration rises monotonically.  It starts from the first-order inverse
+    max((w - b phi_g(w / (a + b))) / a, 0), w = -log(u), which is right to
+    first order both as w -> 0 and as w -> inf, so the step test runs only
+    from the fourth step on.  There each element stops at its own first
+    small step and the rest go on alone, so an element's root does not
+    depend on the other elements of the call.  The steps write into
+    preallocated arrays; `u` is only read.
     """
     w = np.log(u, out=np.empty_like(u))
     np.negative(w, out=w)
     root = np.divide(w, a + b, out=np.empty_like(w))
-    np.log1p(root, out=root)
+    _phi(root, g, root)
     root *= b
     np.subtract(w, root, out=root)
     root /= a
@@ -105,13 +93,15 @@ def _solve_log1p(a, b, u, max_iter=60, tol=1e-15):
     active = None  # indices of flat that v holds; None while v is flat
     f, d = np.empty_like(v), np.empty_like(v)
     for i in range(max_iter):
-        # f = (a v + b log1p(v) - w) / (a + b / (1 + v)), the Newton step
-        np.log1p(v, out=f)
+        # f = (a v + b phi_g(v) - w) / (a + b / (1 + v)^(1 - g)), the Newton step
+        _phi(v, g, f)
         f *= b
         np.multiply(v, a, out=d)
         f += d
         f -= w
         np.add(v, 1.0, out=d)
+        if g:
+            d **= 1.0 - g
         np.divide(b, d, out=d)
         d += a
         f /= d
@@ -182,9 +172,9 @@ class TailModel:
         return _scalar(self._inverse(u))
 
     def alpha_moment(self, s: float) -> float:
-        """E[X^s] for s >= 0; +inf when the moment diverges.  Adaptive
-        quadrature of s t^(s-1) S(t) above the support's lower end where
-        the family has no closed form."""
+        """E|X|^s for s >= 0, which is E[X^s] for a positive support; +inf
+        when the moment diverges.  Adaptive quadrature of s t^(s-1) S(t)
+        above the support's lower end where the family has no closed form."""
         if s < 0:
             raise ValueError("s must be >= 0")
         if s == 0:
@@ -398,15 +388,12 @@ class ExpStretched(TailModel):
         )
 
     def _inverse(self, u):
-        a, b, g, t0 = self.alpha, self.beta, self.gamma, self.t0
-        w = -np.log(u)
-        z = _newton_concave_increasing(
-            lambda z: a * z + b * ((t0 + z) ** g - t0**g),
-            lambda z: a + b * g * (t0 + z) ** (g - 1.0),
-            w,
-            w / a,
-        )
-        return t0 + z
+        # a z + beta ((t0 + z)^gamma - t0^gamma) = -log u, solved for v = z / t0
+        g, t0 = self.gamma, self.t0
+        out = _solve_log1p(self.alpha * t0, self.beta * g * t0**g, u, g)
+        out *= t0
+        out += t0
+        return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -433,11 +420,7 @@ class Constant(TailModel):
     def alpha_moment(self, s):
         if s < 0:
             raise ValueError("s must be >= 0")
-        if self.c < 0:
-            raise ValueError("alpha_moment undefined for negative point mass")
-        if s == 0:
-            return 1.0
-        return self.c**s
+        return abs(self.c) ** s
 
     def exp_moment(self, s):
         if s < 0:

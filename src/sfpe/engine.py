@@ -215,18 +215,31 @@ def _scaled_tail(marginal: TailModel, s, u):
 
 
 def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
-    """P[s W + sigma B > t] for independent W ~ wm > 0, B ~ bm > 0, t > 0.
+    """P[s W + sigma B > t] for independent W ~ wm > 0, B ~ bm > 0, t > 0 and
+    sigma = +-1.
 
-    Integrates over the B marginal on its survival scale v = S_B(b) with
-    Gauss-Legendre nodes, after splitting off the regions where the
-    W-conditional probability is exactly 0 or 1 (missing the exact-one region
-    near v = 0 silently drops the "B alone exceeds t" mass, which dominates
-    deep in the tail).  What is left is an interval with one end where the
-    integrand changes fast: the edge u_star of the exact-0/1 region, across
-    which it moves between 0 and 1 within a layer that can be much thinner
-    than the interval, or v = 0, near which it behaves like v times powers
-    of log v.  The node budget is spent on panels that widen geometrically
-    away from that end instead of on one rule over the interval.
+    Integrates P[s W > t - sigma b] over the B marginal on its survival scale
+    v = S_B(b).  For s != 0 the integrand is exactly 0 or 1 on one side of
+    the edge v_e = S_B(sigma (t - s x0w)), x0w the lower end of W; that flat
+    part is added in closed form (missing the exact-one region near v = 0
+    silently drops the "B alone exceeds t" mass, which dominates deep in the
+    tail).  For sigma = +1, by ramp = S_B(t - 2 s x0w) the integrand has
+    moved from its flat value to S_W(2 x0w) (s > 0) or 1 - S_W(2 x0w)
+    (s < 0).  Each case is:
+
+      case                  flat part   live interval   graded from   first panel
+      sigma = +1, s > 0     v_e         [v_e, 1]        v_e           min(ramp - v_e, v_e)
+      sigma = +1, s < 0     0           [0, v_e]        v_e           min(v_e - ramp, v_e)
+      sigma = -1, s > 0     1 - v_e     [0, v_e]        0             1e-6 v_e
+      otherwise             S_B(t) for sigma = +1, 0 for sigma = -1; nothing live
+
+    The live integrand is S_W((t - sigma b) / s) for s > 0 and one minus it
+    for s < 0.  It changes fast at the end it is graded from: at the edge
+    within the ramp, a layer that can be much thinner than the interval,
+    and within v_e, the scale on which b(v) itself moves there; near v = 0
+    like v times powers of log v.  So the node budget is spent on panels
+    that widen geometrically away from that end instead of on one rule over
+    the interval.
 
     Each element of s is one row of _GL_NODES nodes.  Rows are evaluated in
     blocks of _GL_BLOCK, so the node, quantile and integrand arrays stay
@@ -239,14 +252,12 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
     if isinstance(bm, Constant):
         return _scaled_tail(wm, s, t - sigma * bm.c)
     x0w = wm.support_low
-    out = np.zeros(s.shape)
 
     def _gl_graded(start, end, first, scale, h):
         # integral of h(b, scale) over v between start and end (either way
         # round), per element: _GL_PANELS panels, the first (at start) of
         # width `first`, the rest widening geometrically up to end.  Rows go
         # in blocks of _GL_BLOCK, each with its slice of `scale`
-        end = np.broadcast_to(end, start.shape)
         g, gw = _gl01(_GL_NODES // _GL_PANELS)
         k = np.arange(_GL_PANELS)
         sums = []
@@ -266,54 +277,27 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
             sums.append(np.sum(h(b, scale[rows, None]) * weights, axis=1))
         return np.concatenate(sums)
 
-    pos = s > 0
-    neg = s < 0
+    def integrand(b, s):
+        # S_W((t - sigma b) / s), one minus it for s < 0, without a multiply
+        # by sigma or a copy: an extra pass over the block slows smoothing
+        p = wm.survival((t - b if sigma > 0 else t + b) / s)
+        np.subtract(1.0, p, out=p, where=s < 0)
+        return p
+
+    out = np.full(s.shape, float(bm.survival(t)) if sigma > 0 else 0.0)
+    live = s != 0 if sigma > 0 else s > 0
+    sl = s[live]
+    edge = bm.survival(sigma * (t - sl * x0w))
     if sigma > 0:
-        zero = ~pos & ~neg
-        out[zero] = float(bm.survival(t))
-        if np.any(pos):
-            sp = s[pos]
-            # exact 1 for b > t - s*x0w, i.e. v < u_star; by v = u_ramp
-            # (b = t - 2 s x0w) it is down to S_W(2 x0w).  The first panel
-            # spans that drop, and no more than u_star, the scale on which
-            # the quantile b(v) itself moves near v = u_star
-            u_star = np.asarray(bm.survival(t - sp * x0w), dtype=float)
-            u_ramp = np.asarray(bm.survival(t - 2.0 * sp * x0w), dtype=float)
-            vals = _gl_graded(
-                u_star,
-                1.0,
-                np.minimum(u_ramp - u_star, u_star),
-                sp,
-                lambda b, sp: wm.survival((t - b) / sp),
-            )
-            out[pos] = u_star + vals
-        if np.any(neg):
-            sn = -s[neg]
-            # nonzero only for b > t + |s|*x0w, i.e. v < u_star; by v = u_ramp
-            # (b = t + 2 |s| x0w) it is up to 1 - S_W(2 x0w).  Mirrors s > 0
-            u_star = np.asarray(bm.survival(t + sn * x0w), dtype=float)
-            u_ramp = np.asarray(bm.survival(t + 2.0 * sn * x0w), dtype=float)
-            out[neg] = _gl_graded(
-                u_star,
-                0.0,
-                np.minimum(u_star - u_ramp, u_star),
-                sn,
-                lambda b, sn: 1.0 - wm.survival((b - t) / sn),
-            )
+        ramp = bm.survival(t - 2.0 * sl * x0w)
+        flat = np.where(sl > 0, edge, 0.0)
+        start, end = edge, (sl > 0).astype(float)
+        first = np.minimum(np.sign(sl) * (ramp - edge), edge)
     else:
-        # P[s W - B > t]: needs s > 0 and then b < s*x0w - t can make it certain
-        if np.any(pos):
-            sp = s[pos]
-            v_bar = np.asarray(bm.survival(sp * x0w - t), dtype=float)
-            vals = _gl_graded(
-                np.zeros_like(v_bar),
-                v_bar,
-                1e-6 * v_bar,
-                sp,
-                lambda b, sp: wm.survival((t + b) / sp),
-            )
-            out[pos] = (1.0 - v_bar) + vals
-        # s <= 0: sW - B <= 0 < t almost surely
+        flat = 1.0 - edge
+        start, end, first = np.zeros_like(edge), edge, 1e-6 * edge
+    if sl.size:
+        out[live] = flat + _gl_graded(start, end, first, sl, integrand)
     return out
 
 

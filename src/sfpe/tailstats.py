@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csv_text
-from .dist import TailModel
 from .engine import SampleBatch, smoothed_tail
 
 __all__ = [
@@ -109,11 +108,9 @@ def smoothed_survival(batch, coeff, kind, t_grid, side=+1) -> TailEstimate:
 
 
 def ratio_curve(est: TailEstimate, ref) -> RatioCurve:
-    """Empirical tail divided by a reference tail; CIs scaled identically.
-
-    ref may be a TailModel or any callable t -> survival."""
-    sref = ref.survival(est.t_grid) if isinstance(ref, TailModel) else ref(est.t_grid)
-    sref = np.asarray(sref, dtype=float)
+    """Empirical tail divided by a reference tail ref, a callable t ->
+    survival; CIs scaled identically."""
+    sref = np.asarray(ref(est.t_grid), dtype=float)
     if np.any(sref <= 0.0):
         raise ValueError("reference survival must be positive on the grid")
     return RatioCurve(

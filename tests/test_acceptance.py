@@ -295,9 +295,9 @@ def test_convolution_limit_layer(capsys):
     t0 = time.perf_counter()
     ep = ExpPoly(1.0, -2.0, 1.0)
     rep = theory.convolution_limit_check(ep, ep, ep, 1.0, 1.0, 1.0, [20, 40, 80, 160])
-    _, _, v_monotone = theory.appendix_smallint_diagnostic(
+    v_monotone = theory.appendix_smallint_diagnostic(
         ep, [1.0, 2.0, 4.0], [80.0, 160.0, 320.0, 640.0]
-    )
+    ).v_monotone
     elapsed = time.perf_counter() - t0
     report(capsys, 7, "convolution limit", {
         "final ratio within 5% of 2 m_alpha": rep.final_ok,

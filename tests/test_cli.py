@@ -92,6 +92,7 @@ class TestConfig:
         sampling = ("simulate", "estimate", "verify")
         cases = [
             ("n_samples = 50000", "n_samples = many", "[sim] n_samples", sampling),
+            ("n_samples = 50000\n", "", "missing [sim] n_samples", sampling),
             ("method = chain", "chunk_size = 0", "[sim] chunk_size", sampling),
             ("method = chain", "method = smoothed", "[sim] unknown method", sampling),
             ("sigma = 0.45", "sigma = 0.45\nside = rght", "[analysis] side", sampling),
@@ -215,6 +216,18 @@ class TestSimulate:
             (tmp_path / "s1" / "batch.bin").read_bytes()
             != (tmp_path / "s2" / "batch.bin").read_bytes()
         )
+
+    def test_perpetuity_with_negative_constant_b(self, config_file, tmp_path):
+        # the remainder bound needs only E|B| = 1
+        text = BASE_CONFIG.replace(
+            B_LINE, "b = constant(c=-1.0)\n"
+        ).replace("method = chain", "method = perpetuity")
+        assert main(["simulate", "--config", config_file(text)]) == EXIT_OK
+        batch = engine.load_batch(tmp_path / "out" / "batch.bin")
+        # the fewest K with E|A|^K E|B| / (1 - E|A|) below truncation_eps = 1e-3
+        mu = LogPareto(2.0, 3.0, 0.4).alpha_moment(1.0)
+        k = math.floor(math.log(1e-3 * (1.0 - mu)) / math.log(mu)) + 1
+        assert batch.extra["n_terms"] == k == 12
 
     def test_unstable_map_precondition(self, config_file):
         text = BASE_CONFIG.replace(
@@ -426,6 +439,18 @@ class TestDistCheck:
         for gamma, code in (("0.5", EXIT_OK), ("1.0", EXIT_PRECONDITION)):
             with_gamma = text.replace("checks = convex", f"checks = convex\ngamma = {gamma}")
             assert main(["dist-check", "--config", config_file(with_gamma)]) == code, gamma
+
+    def test_point_mass_is_refused_before_any_check(self, config_file, tmp_path, capsys):
+        text = BASE_CONFIG.replace(
+            "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)", "a = constant(c=2.0)"
+        )
+        for check in ("uniformity", "product", "dom", "convex", "convolution", "smallint"):
+            with_check = text.replace("alpha = 2.0", f"alpha = 2.0\nchecks = {check}\ngamma = 0.5")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["dist-check", "--config", config_file(with_check)]) == EXIT_PRECONDITION
+            assert "point mass" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "dist_check.csv").exists()
 
     def test_unknown_check(self, config_file):
         text = BASE_CONFIG.replace("alpha = 2.0", "alpha = 2.0\nchecks = entropy")

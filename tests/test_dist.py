@@ -14,7 +14,6 @@ from sfpe.dist import (
     LogPareto,
     LogView,
     Pareto,
-    _newton_concave_increasing,
     parse_model,
 )
 
@@ -117,9 +116,28 @@ SOLVER_PARAMS = [
 ]
 
 
+def _newton_concave_increasing(g, gprime, w, v0, max_iter=60, tol=1e-15):
+    """Solve g(v) = w elementwise for concave increasing g, starting above the
+    root: the oracle of the quantile solver.  Each element stops at its own
+    first small step."""
+    root = np.array(v0, dtype=float)
+    v, w = root, np.broadcast_to(w, root.shape)
+    active = np.arange(root.size)
+    for _ in range(max_iter):
+        step = (g(v) - w) / gprime(v)
+        v = np.maximum(v - step, 0.0)
+        root[active] = v
+        live = np.abs(step) > tol * (1.0 + np.abs(v))
+        if not live.any():
+            break
+        active, v, w = active[live], v[live], w[live]
+    return root
+
+
 class TestLog1pSolver:
-    """LogPareto and ExpPoly quantiles solve a v + b log1p(v) = -log u; the
-    oracle is the generic Newton solver started from w / a."""
+    """LogPareto, ExpPoly and ExpStretched quantiles solve
+    a v + b phi_g(v) = -log u; the oracle is the generic Newton solver started
+    from w / a."""
 
     EPS = np.finfo(float).eps
 
@@ -160,6 +178,20 @@ class TestLog1pSolver:
         v = (ExpPoly(alpha, -beta, t0).quantile(u) - t0) / t0
         v_ref = z_ref / t0
         assert np.max(np.abs(v - v_ref) / (self.EPS * (1.0 + v_ref))) <= 4.0
+
+    @pytest.mark.parametrize("model", [m for m in ALL_MODELS if isinstance(m, ExpStretched)])
+    def test_exp_stretched_matches_oracle(self, model):
+        a, b, g, t0 = model.alpha, model.beta, model.gamma, model.t0
+        u = self._u()
+        w = -np.log(u)
+        z_ref = _newton_concave_increasing(
+            lambda z: a * z + b * ((t0 + z) ** g - t0**g),
+            lambda z: a + b * g * (t0 + z) ** (g - 1.0),
+            w,
+            w / a,
+        )
+        q_ref = t0 + z_ref
+        assert np.max(np.abs(model.quantile(u) - q_ref) / q_ref) <= 4.0 * self.EPS
 
     @pytest.mark.parametrize("model", [
         LogPareto(2.0, 3.0, 0.4), ExpPoly(1.0, -2.0, 1.0), ExpStretched(1.0, 1.0, 0.5, 1.0),

@@ -37,6 +37,8 @@ INDEP_FAMILY = MapFamily(AFFINE, INDEP)
 SIGNED_COEFF = CoeffLaw(LP, LP, SIGNED, p_plus=0.75, c_b=1.0)
 EQUAL_COEFF = CoeffLaw(LP, LP, EQUAL)
 CONST_B = CoeffLaw(LP, Constant(1.0), INDEPENDENT)
+# B on a support edge of its own
+OTHER_B = CoeffLaw(LP, LogPareto(3.0, 1.5, 1.0), SIGNED, p_plus=0.75)
 
 
 class TestSimConfig:
@@ -302,15 +304,16 @@ class TestConditionalTailQuadrature:
     TS = (2.0, 3.5, 10.0, 50.0, 200.0)
 
     @pytest.mark.parametrize("coeff,side", [
-        (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1),
-    ], ids=["independent", "signed-right", "signed-left"])
+        (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1), (OTHER_B, +1), (OTHER_B, -1),
+    ], ids=["independent", "signed-right", "signed-left", "other-b-right", "other-b-left"])
     def test_affine_matches_quadrature(self, coeff, side):
         p = coeff.p_plus if coeff.dependence == SIGNED else 1.0
+        w, b = coeff.marginal_a, coeff.marginal_b
         for t in self.TS:
             got = conditional_tail(coeff, AFFINE, t, np.array(self.YS), side=side)
             want = [
-                p * _affine_branch_by_quad(LP, LP, side * y, t, side)
-                + (1.0 - p) * _affine_branch_by_quad(LP, LP, -side * y, t, side)
+                p * _affine_branch_by_quad(w, b, side * y, t, side)
+                + (1.0 - p) * _affine_branch_by_quad(w, b, -side * y, t, side)
                 for y in self.YS
             ]
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0,

@@ -87,7 +87,7 @@ class TestRatioCurve:
         m = Pareto(2.0, 1.0)
         grid = np.array([2.0, 5.0, 10.0])
         est = ecdf_survival(batch_of([1.5, 3.0, 20.0]), grid)
-        curve = ratio_curve(est, m)
+        curve = ratio_curve(est, m.survival)
         np.testing.assert_allclose(curve.ratio * curve.ref_tail, est.p_hat)
 
     def test_doubling(self):
@@ -225,7 +225,7 @@ class TestCsv:
         m = Pareto(2.0, 1.0)
         grid = np.array([2.0, 4.0])
         est = ecdf_survival(batch_of([1.0, 3.0, 5.0, 9.0]), grid)
-        text = estimate_to_csv(est, ratio_curve(est, m))
+        text = estimate_to_csv(est, ratio_curve(est, m.survival))
         lines = text.strip().split("\n")
         assert lines[0] == "t,p_hat,ci_lo,ci_hi,n_exceed,ref_tail,ratio,ratio_ci_lo,ratio_ci_hi"
         assert len(lines) == 3

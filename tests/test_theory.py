@@ -251,16 +251,16 @@ class TestSmallIntegral:
         ep = ExpPoly(1.0, -2.0, 1.0)
         # the x -> infinity stabilization is O(1/x); doubling from 320 is the
         # first step where all v rows land within the 5% window
-        mat, stabilized, v_monotone = appendix_smallint_diagnostic(
+        mat, v_monotone = appendix_smallint_diagnostic(
             ep, [1.0, 2.0, 4.0], [80.0, 160.0, 320.0, 640.0], n_grid=100_000
         )
-        assert stabilized
+        assert np.all(np.abs(mat[:, -1] - mat[:, -2]) <= 0.05 * mat[:, -1])
         assert v_monotone
         assert np.all(mat[:, -1] >= 0.0)
 
     def test_empty_range_is_zero(self):
         ep = ExpPoly(1.0, -2.0, 1.0)
-        mat, _, _ = appendix_smallint_diagnostic(ep, [10.0], [15.0], n_grid=1000)
+        mat, _ = appendix_smallint_diagnostic(ep, [10.0], [15.0], n_grid=1000)
         assert mat[0, 0] == 0.0
 
 
@@ -312,7 +312,7 @@ class TestUniformity:
     def test_log_pareto_strictly_decreasing(self):
         rep = rv_uniformity_check(LogPareto(2.0, 3.0, 0.4), 2.0, 0.1, [1e2, 1e3, 1e4])
         assert rep.strictly_decreasing
-        assert not rep.below_threshold  # logarithmic decay; see the ledger
+        assert rep.sup_dev[-1] >= 1e-2  # logarithmic decay; see the ledger
         assert rep.passed
 
     def test_underflowed_tail_gives_inf_not_nan(self):

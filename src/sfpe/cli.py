@@ -302,13 +302,12 @@ def cmd_estimate(cfg, args):
 
 def _predicted_constants(family, batch, alpha):
     """(D_plus, D_minus) from plug-in one-step functionals on the batch."""
-    coeff = family.coeff
-    e_w_alpha = coeff.marginal_a.alpha_moment(alpha)
-    if coeff.dependence == SIGNED:
-        mu_p = coeff.p_plus * e_w_alpha
-        mu_m = (1.0 - coeff.p_plus) * e_w_alpha
-    else:
-        mu_p, mu_m = e_w_alpha, 0.0
+    p = family.coeff.p_plus
+    e_w_alpha = family.coeff.marginal_a.alpha_moment(alpha)
+    # E[A_+^alpha] and E[A_-^alpha]: A < 0 has probability 1 - p, and at p = 1
+    # E[A_-^alpha] is 0 even where E[W^alpha] is infinite
+    mu_p = p * e_w_alpha
+    mu_m = (1.0 - p) * e_w_alpha if p < 1.0 else 0.0
     xi_p, _ = tailstats.plugin_moment(batch, lambda y: f_plus(family, y, alpha))
     xi_m, _ = tailstats.plugin_moment(batch, lambda y: f_minus(family, y, alpha))
     return theory.ifs_constants(mu_p, mu_m, xi_p, xi_m)

@@ -27,15 +27,14 @@ from .dist import Constant, TailModel
 from .maps import (
     AFFINE,
     EQUAL,
-    INDEPENDENT,
     MAX_AFFINE,
-    POS_PART_AFFINE,
-    SIGNED,
+    SQRT_LOG,
     CoeffLaw,
     MapFamily,
     NoClosedFormError,
     apply_map,
     draw_coeffs,
+    one_step,
 )
 
 __all__ = [
@@ -215,8 +214,8 @@ def _scaled_tail(marginal: TailModel, s, u):
 
 
 def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
-    """P[s W + sigma B > t] for independent W ~ wm > 0, B ~ bm > 0, t > 0 and
-    sigma = +-1.
+    """P[s W + sigma B > t] for independent W ~ wm > 0 and B ~ bm > 0, or a
+    `Constant` of either sign, t > 0 and sigma = +-1.
 
     Integrates P[s W > t - sigma b] over the B marginal on its survival scale
     v = S_B(b).  For s != 0 the integrand is exactly 0 or 1 on one side of
@@ -304,34 +303,29 @@ def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
 def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
     """Exact P[Psi(y) > t] (side=+1) or P[Psi(y) < -t] (side=-1) given the
     previous state y, for the closed-form combinations; NoClosedFormError
-    for the others."""
-    y = np.asarray(y, dtype=float)
-    dep = coeff.dependence
-    wm, bm = coeff.marginal_a, coeff.marginal_b
-    # P[s W + side B > t] for independent W, B is the side-tail of a W y + B
-    # at t with s = side * (sign of A) * y
-    if kind == AFFINE and dep == EQUAL:
-        s = y + 1.0
+    for the others.
+
+    For the affine kinds Psi(y) = A s + B with s = s(y) of `maps.one_step`,
+    so side * Psi(y) > t is (side s) W + side B > t for A = W > 0, and
+    (-side s) W + side B > t for A = -W, which a signed law takes with
+    probability 1 - p_plus."""
+    s = one_step(kind, coeff.dependence)[0](np.asarray(y, dtype=float))
+    wm, bm, p = coeff.marginal_a, coeff.marginal_b, coeff.p_plus
+    if coeff.dependence == EQUAL:  # B = A: Psi(y) = A s
         return _scaled_tail(wm, side * s, t)
-    if kind == AFFINE and dep == INDEPENDENT:
-        return _affine_branch(wm, bm, side * y, t, side)
-    if kind == AFFINE and dep == SIGNED:
-        p = coeff.p_plus
-        plus = _affine_branch(wm, bm, side * y, t, side)
-        minus = _affine_branch(wm, bm, -side * y, t, side)
-        return p * plus + (1.0 - p) * minus
-    if kind == POS_PART_AFFINE and dep == INDEPENDENT:
-        return _affine_branch(wm, bm, side * np.maximum(y, 0.0), t, side)
-    if kind == MAX_AFFINE and dep == INDEPENDENT:
+    if kind == MAX_AFFINE:
         if side < 0:
             # A, B >= 0: max(Ay, B) has no left tail below -t < 0
-            return np.zeros_like(y)
-        sa = _scaled_tail(coeff.marginal_a, y, t)
-        sb = float(coeff.marginal_b.survival(t))
+            return np.zeros_like(s)
+        sa = _scaled_tail(wm, s, t)
+        sb = float(bm.survival(t))
         return sa + sb - sa * sb
-    raise NoClosedFormError(
-        f"no closed-form conditional tail for ({kind}, {dep})"
-    )
+    if kind == SQRT_LOG:
+        raise NoClosedFormError(f"no closed-form conditional tail for ({kind}, {coeff.dependence})")
+    out = _affine_branch(wm, bm, side * s, t, side)
+    if p < 1.0:
+        out = p * out + (1.0 - p) * _affine_branch(wm, bm, -side * s, t, side)
+    return out
 
 
 _SMOOTH_GRID = 2048

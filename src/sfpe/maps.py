@@ -4,8 +4,11 @@ A map family fixes a functional form (affine, max-affine, positive-part
 affine, sqrt-log) together with the joint law of its coefficients.
 `draw_coeffs` draws the coefficients of n maps and `apply_map` applies them;
 the sampler and the stability precheck both go through this pair.
-Closed-form one-step tail functionals f+ / f- are provided for the dependence
-structures that admit them.
+The one-step tail functionals f+ / f- and the exact one-step tail
+`engine.conditional_tail` read one table: per (kind, dependence) with a
+closed form, the multiplier s(y) of A in Psi(y) = A s(y) + (terms bounded
+below).  Both tails of Psi(y) are reached through A s(y), the left tail as
+the right tail of -Psi(y).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "draw_coeffs",
     "f_plus",
     "f_minus",
+    "one_step",
     "elton_precheck",
 ]
 
@@ -55,10 +59,9 @@ class CoeffLaw:
       signed      -- A = eps * W with P[eps = +1] = p_plus, W ~ marginal_a,
                      eps independent of (W, B).
 
-    c_b is the tail-ratio constant lim P[B > t] / P[W > t] against the
-    unsigned marginal of A.  For positive A this is lim P[B > t] / P[A > t];
-    for signed A the reference tail is P[A > t] = p_plus * P[W > t] and the
-    closed-form f+/- rescale accordingly.
+    p_plus is P[A > 0]: 1 unless the law is signed.  c_b is the tail-ratio
+    constant lim P[B > t] / P[W > t] against the unsigned marginal W of A
+    (W = A for positive A); the reference tail is P[A > t] = p_plus P[W > t].
     """
 
     marginal_a: TailModel
@@ -70,8 +73,8 @@ class CoeffLaw:
     def __post_init__(self):
         if self.dependence not in (INDEPENDENT, EQUAL, SIGNED):
             raise ValueError(f"unknown dependence {self.dependence!r}")
-        if self.dependence == SIGNED and not (0.0 < self.p_plus <= 1.0):
-            raise ValueError("signed dependence requires p_plus in (0, 1]")
+        if not (0.0 < self.p_plus <= 1.0 and (self.dependence == SIGNED or self.p_plus == 1.0)):
+            raise ValueError("p_plus must be in (0, 1] with signed dependence and 1 without")
         if self.dependence == EQUAL:
             object.__setattr__(self, "marginal_b", self.marginal_a)
             object.__setattr__(self, "c_b", 1.0)
@@ -79,17 +82,17 @@ class CoeffLaw:
             raise ValueError("c_b must be >= 0")
 
     def a_tail(self, t):
-        """P[A > t], the reference tail for every ratio in this package."""
-        s = self.marginal_a.survival(t)
-        return self.p_plus * s if self.dependence == SIGNED else s
+        """P[A > t] = p_plus P[W > t], the reference tail for every ratio in
+        this package."""
+        return self.p_plus * self.marginal_a.survival(t)
 
 
 @dataclass(frozen=True)
 class MapFamily:
     """One of the supported Psi families with its coefficient law.
 
-    sqrt_log carries a third nonnegative coefficient C with tail constant
-    c_c; the other kinds need nothing beyond (A, B).
+    sqrt_log carries a third nonnegative coefficient C ~ marginal_c with
+    tail constant c_c; the other kinds have no C and take neither.
     """
 
     kind: str
@@ -102,6 +105,8 @@ class MapFamily:
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.kind == SQRT_LOG and self.marginal_c is None:
             raise ValueError("sqrt_log requires a third coefficient law C")
+        if self.kind != SQRT_LOG and (self.marginal_c is not None or self.c_c != 0.0):
+            raise ValueError(f"c, c_c: the coefficient C is for sqrt_log only, not {self.kind}")
 
 
 def _sqrtlog(x):
@@ -145,64 +150,61 @@ def draw_coeffs(family: MapFamily, n: int, rng: np.random.Generator):
 
 # --- closed-form one-step tail functionals --------------------------------
 
-def _pow_plus(y, alpha):
-    y = np.asarray(y, dtype=float)
-    return np.maximum(y, 0.0) ** alpha
+# (kind, dependence) -> (s, phi), with Psi(y) = A s(y) + B phi(y) + C + (terms
+# bounded below): the state's multipliers of A and of B.  phi is None where
+# B = A is already in s.  Max-affine takes s = max(y, 0): max(A y, B) >= B
+# has no left tail, while s = y would give it one at y < 0.
+_ONE_STEP = {
+    (AFFINE, INDEPENDENT): (lambda y: y, lambda y: 1.0),
+    (AFFINE, SIGNED): (lambda y: y, lambda y: 1.0),
+    (AFFINE, EQUAL): (lambda y: y + 1.0, None),
+    (MAX_AFFINE, INDEPENDENT): (lambda y: np.maximum(y, 0.0), lambda y: 1.0),
+    (POS_PART_AFFINE, INDEPENDENT): (lambda y: np.maximum(y, 0.0), lambda y: 1.0),
+    (SQRT_LOG, INDEPENDENT): (lambda y: y, _sqrtlog),
+}
 
 
-def _pow_minus(y, alpha):
+def one_step(kind: str, dependence: str):
+    """(s, phi) of the (kind, dependence) pair; NoClosedFormError for a pair
+    without a closed form."""
+    try:
+        return _ONE_STEP[kind, dependence]
+    except KeyError:
+        raise NoClosedFormError(
+            f"no closed form for ({kind}, {dependence}); use empirical f+/- via simulation"
+        ) from None
+
+
+def _one_step_limit(family: MapFamily, y, alpha: float, side: int):
+    """lim_t P[side Psi(y) > t] / P[A > t] for side = +-1.
+
+    A s(y) reaches side * Psi(y) > t as |A| exceeds t / |s(y)| with the sign
+    of side * s(y), which A takes with probability p_plus (A > 0) or
+    1 - p_plus (A < 0).  B and C are bounded below, so they reach the right
+    tail alone."""
+    s, phi = one_step(family.kind, family.coeff.dependence)
     y = np.asarray(y, dtype=float)
-    return np.maximum(-y, 0.0) ** alpha
+    sy = s(y)
+    p = family.coeff.p_plus
+    out = np.maximum(sy if side > 0 else -sy, 0.0) ** alpha
+    if p < 1.0:
+        out = out + (1.0 - p) / p * np.maximum(-sy if side > 0 else sy, 0.0) ** alpha
+    if side > 0 and phi is not None:
+        out = out + family.coeff.c_b / p * phi(y) ** alpha
+    if side > 0 and family.marginal_c is not None:
+        out = out + family.c_c
+    return out
 
 
 def f_plus(family: MapFamily, y, alpha: float):
     """lim_t P[Psi(y) > t] / P[A > t], where P[A > t] is the reference tail
     of the (possibly signed) coefficient A."""
-    coeff = family.coeff
-    kind, dep = family.kind, coeff.dependence
-    if kind in (AFFINE, MAX_AFFINE) and dep == INDEPENDENT:
-        return _pow_plus(y, alpha) + coeff.c_b
-    if kind == AFFINE and dep == EQUAL:
-        y = np.asarray(y, dtype=float)
-        return np.maximum(y + 1.0, 0.0) ** alpha
-    if kind == AFFINE and dep == SIGNED:
-        p = coeff.p_plus
-        return (
-            _pow_plus(y, alpha)
-            + (1.0 - p) / p * _pow_minus(y, alpha)
-            + coeff.c_b / p
-        )
-    if kind == POS_PART_AFFINE and dep == INDEPENDENT:
-        return _pow_plus(y, alpha) + coeff.c_b
-    if kind == SQRT_LOG and dep == INDEPENDENT:
-        # the middle coefficient contributes through the sqrt-log envelope
-        return (
-            _pow_plus(y, alpha)
-            + coeff.c_b * _sqrtlog(y) ** alpha
-            + family.c_c
-        )
-    raise NoClosedFormError(
-        f"no closed form for ({kind}, {dep}); use empirical f+/- via simulation"
-    )
+    return _one_step_limit(family, y, alpha, +1)
 
 
 def f_minus(family: MapFamily, y, alpha: float):
-    """lim_t P[Psi(y) < -t] / P[A > t]."""
-    coeff = family.coeff
-    kind, dep = family.kind, coeff.dependence
-    if kind in (AFFINE, MAX_AFFINE, POS_PART_AFFINE, SQRT_LOG) and dep in (
-        INDEPENDENT,
-        EQUAL,
-    ):
-        # positive A and nonnegative-tailed B: no left tail at the A scale
-        y = np.asarray(y, dtype=float)
-        return np.zeros_like(y)
-    if kind == AFFINE and dep == SIGNED:
-        p = coeff.p_plus
-        return _pow_minus(y, alpha) + (1.0 - p) / p * _pow_plus(y, alpha)
-    raise NoClosedFormError(
-        f"no closed form for ({kind}, {dep}); use empirical f+/- via simulation"
-    )
+    """lim_t P[Psi(y) < -t] / P[A > t]: the right tail of -Psi(y)."""
+    return _one_step_limit(family, y, alpha, -1)
 
 
 # --- Elton preconditions ---------------------------------------------------

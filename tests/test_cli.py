@@ -1,3 +1,5 @@
+import ast
+import importlib
 import math
 import re
 import warnings
@@ -16,7 +18,7 @@ from sfpe.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from sfpe.dist import ExpPoly, LogPareto
+from sfpe.dist import ExpPoly, LogPareto, TailModel
 
 B_LINE = "b = log_pareto(alpha=2.0, beta=3.0, x0=0.4)\n"
 BASE_CONFIG = """\
@@ -104,6 +106,9 @@ class TestConfig:
             ("dependence = independent", "dependence = equal", "[model] b, c_b", sampling),
             (B_LINE + "dependence = independent", "dependence = equal", "[model] c_b", sampling),
             ("dependence = independent\nc_b = 1.0", "dependence = equal", "[model] b", sampling),
+            # only sqrt_log has a third coefficient C
+            ("c_b = 1.0", "c_b = 1.0\nc = constant(c=5.0)", "[model] c, c_c", sampling),
+            ("c_b = 1.0", "c_b = 1.0\nc_c = 3.0", "[model] c, c_c", sampling),
         ]
         for grid in (
             "5,3", "nan,2", "2,inf",
@@ -151,6 +156,24 @@ class TestConfig:
         rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, re.MULTILINE)
         assert len(rows) == len(set(rows))
         assert set(rows) == {(s, k) for s, keys in CONFIG_KEYS.items() for k in keys}
+
+
+class TestBenchmarkNames:
+    def test_traced_layers_exist(self):
+        # perfbench/layertrace.py wraps these by name; a rename should fail here
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "layertrace.py").read_text())
+        names = {
+            target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+            and target.id in ("LAYERS", "DIST_METHODS")
+        }
+        for module, functions in names["LAYERS"].items():
+            mod = importlib.import_module(f"sfpe.{module}")
+            for name in functions:
+                assert callable(getattr(mod, name, None)), f"sfpe.{module}.{name}"
+        for name in names["DIST_METHODS"]:
+            assert callable(getattr(TailModel, name, None)), f"TailModel.{name}"
 
 
 class TestPredict:
@@ -342,6 +365,23 @@ class TestVerify:
         assert code in (EXIT_OK, EXIT_ASSERTION)
         rows = (tmp_path / "out" / "verify.csv").read_text().strip().split("\n")
         assert len(rows) == 21
+
+    def test_left_tail_mirrors_the_right_tail(self, config_file, tmp_path):
+        # B = -1 gives the exact negatives of the B = +1 chain: its left tail
+        # is the other's right tail, constant included
+        text = BASE_CONFIG.replace(B_LINE, "b = {b}\n").replace("c_b = 1.0\n", "")
+        runs = []
+        for b, side in (("constant(c=1.0)", "right"), ("constant(c=-1.0)", "left")):
+            out = tmp_path / side
+            path = config_file(text.replace("sigma = 0.45", f"sigma = 0.45\nside = {side}"), b=b)
+            _simulate(path, "--out", str(out))
+            assert main(["verify", "--config", path, "--out", str(out)]) in (EXIT_OK, EXIT_ASSERTION)
+            lines = (out / "verify.csv").read_text().strip().split("\n")
+            runs.append(np.array([line.split(",") for line in lines[1:]], dtype=float))
+        right, left = runs
+        assert right[0, -2] > 0.0
+        np.testing.assert_array_equal(left[:, -2], right[:, -2])  # predicted
+        np.testing.assert_allclose(left[:, 1], right[:, 1], rtol=1e-12, atol=0.0)  # p_hat
 
     def test_no_left_tail_is_precondition(self, config_file, capsys):
         path = config_file(BASE_CONFIG.replace("sigma = 0.45", "sigma = 0.45\nside = left"))

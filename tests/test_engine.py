@@ -307,7 +307,7 @@ class TestConditionalTailQuadrature:
         (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1), (OTHER_B, +1), (OTHER_B, -1),
     ], ids=["independent", "signed-right", "signed-left", "other-b-right", "other-b-left"])
     def test_affine_matches_quadrature(self, coeff, side):
-        p = coeff.p_plus if coeff.dependence == SIGNED else 1.0
+        p = coeff.p_plus
         w, b = coeff.marginal_a, coeff.marginal_b
         for t in self.TS:
             got = conditional_tail(coeff, AFFINE, t, np.array(self.YS), side=side)

@@ -41,11 +41,31 @@ class TestCoeffLaw:
         with pytest.raises(ValueError):
             CoeffLaw(LP, LP, SIGNED, p_plus=1.2)
 
+    def test_p_plus_is_one_unless_signed(self):
+        # p_plus is P[A > 0]; a law whose A is not signed has no use for another
+        for dep in (INDEPENDENT, EQUAL):
+            with pytest.raises(ValueError, match="p_plus"):
+                CoeffLaw(LP, LP, dep, p_plus=0.5)
+        assert CoeffLaw(LP, LP, SIGNED, p_plus=0.5).p_plus == 0.5
+
     def test_reference_tail(self):
         law = CoeffLaw(LP, LP, SIGNED, p_plus=0.75)
         assert law.a_tail(5.0) == pytest.approx(0.75 * LP.survival(5.0))
         law2 = CoeffLaw(LP, LP, INDEPENDENT)
         assert law2.a_tail(5.0) == pytest.approx(LP.survival(5.0))
+
+
+class TestMapFamily:
+    def test_only_sqrt_log_takes_c(self):
+        law = CoeffLaw(LP, LP, INDEPENDENT)
+        for kind in (AFFINE, MAX_AFFINE, POS_PART_AFFINE):
+            for kw in ({"marginal_c": Constant(5.0)}, {"c_c": 3.0}):
+                with pytest.raises(ValueError, match="c, c_c"):
+                    MapFamily(kind, law, **kw)
+            assert MapFamily(kind, law, c_c=0.0).marginal_c is None
+        with pytest.raises(ValueError, match="sqrt_log"):
+            MapFamily(SQRT_LOG, law)
+        assert MapFamily(SQRT_LOG, law, marginal_c=Constant(5.0), c_c=3.0).c_c == 3.0
 
 
 class TestRealizedMaps:
@@ -146,14 +166,39 @@ class TestClosedForms:
         assert f_minus(fam, -2.0, 2.0) == pytest.approx(4.0)
         assert f_minus(fam, 2.0, 2.0) == pytest.approx((0.25 / 0.75) * 4.0)
 
-    def test_positive_a_has_no_left_tail(self):
+    def test_positive_a_left_tail_from_negative_states(self):
+        # Psi(y) = A y + B < -t takes A > t / (-y): the left tail of -Psi(y)
         y = np.linspace(-5.0, 5.0, 11)
-        assert np.all(f_minus(indep_family(), y, 2.0) == 0.0)
+        f = f_minus(indep_family(), y, 2.0)
+        np.testing.assert_array_equal(f[y >= 0.0], 0.0)
+        np.testing.assert_array_equal(f[y < 0.0], (-y[y < 0.0]) ** 2.0)
 
     def test_no_closed_form(self):
         fam = MapFamily(MAX_AFFINE, CoeffLaw(LP, LP, SIGNED, p_plus=0.5))
         with pytest.raises(NoClosedFormError):
             f_plus(fam, 1.0, 2.0)
+
+    def test_both_tails_have_the_same_closed_forms(self):
+        laws = [CoeffLaw(LP, LP, INDEPENDENT), CoeffLaw(LP, LP, EQUAL),
+                CoeffLaw(LP, LP, SIGNED, p_plus=0.5)]
+        for kind in (AFFINE, MAX_AFFINE, POS_PART_AFFINE, SQRT_LOG):
+            c = {"marginal_c": Constant(1.0)} if kind == SQRT_LOG else {}
+            for law in laws:
+                fam = MapFamily(kind, law, **c)
+                raised = []
+                for f in (f_plus, f_minus):
+                    try:
+                        f(fam, np.array([-1.0, 2.0]), 2.0)
+                        raised.append(False)
+                    except NoClosedFormError:
+                        raised.append(True)
+                assert raised[0] == raised[1], (kind, law.dependence)
+
+    def test_max_affine_and_pos_part_have_no_left_tail(self):
+        # max(A y, B) >= B and A max(y, 0) + B >= B, whatever the state
+        y = np.linspace(-5.0, 5.0, 11)
+        for kind in (MAX_AFFINE, POS_PART_AFFINE):
+            np.testing.assert_array_equal(f_minus(indep_family(kind), y, 2.0), 0.0)
 
     def test_nonnegative_and_continuous(self):
         y = np.linspace(-10.0, 10.0, 4001)

@@ -1,11 +1,10 @@
 """Parametric heavy-tailed distribution families with exact survival functions.
 
 Every model exposes the same small surface: ``survival`` (exact, vectorized),
-``log_survival``, ``quantile`` (inverse survival), ``sample`` (inverse
-transform), ``alpha_moment`` (power moments E|X|^s, closed form where
-available, adaptive quadrature otherwise), ``exp_moment`` (exponential
-moments E[e^{sX}]) and ``params``.  Models are immutable after construction
-and safe to share between workers.
+``log_survival``, ``quantile`` (inverse survival), ``sample``, ``alpha_moment``
+(power moments E|X|^s, closed form where available, adaptive quadrature
+otherwise), ``exp_moment`` (exponential moments E[e^{sX}]) and ``params``.
+Models are immutable after construction and safe to share between workers.
 
 A family states only its parameters (the dataclass fields, checked in
 ``__post_init__``), its ``support_low`` and three formulas: ``_tail(t)``,
@@ -19,13 +18,16 @@ and an array of the same shape for an array, and ``params`` and the keys
 own ``survival`` and ``log_survival``, since a point mass has survival 0 at
 c itself.
 
-The LogPareto, ExpPoly and ExpStretched quantiles (the first two are the
-hot kernel of the sampler and of the smoothing quadrature) all reduce to
-a v + b phi_g(v) = -log u, with phi_0 = log1p for the first two and
-phi_g(v) = expm1(g log1p(v)) / g, g = gamma, for ExpStretched.  One solver,
-`_solve_log1p`, serves all three: Newton steps from the first-order
-inverse, written into preallocated arrays, with each element stopping on
-its own.
+The LogPareto, ExpPoly and ExpStretched survivals are each the product of
+two closed-form survivals, so these three sample a draw as the minimum of
+two independent closed-form draws from two standard exponentials, with no
+root-finding; the other families sample by inverse transform.  Their
+quantiles (the hot kernel of the smoothing quadrature, and the tests'
+oracle for the samplers) all reduce to a v + b phi_g(v) = -log u, with
+phi_0 = log1p for the first two and phi_g(v) = expm1(g log1p(v)) / g,
+g = gamma, for ExpStretched.  One solver, `_solve_log1p`, serves all
+three: Newton steps from the first-order inverse, written into
+preallocated arrays, with each element stopping on its own.
 """
 
 from __future__ import annotations
@@ -126,6 +128,16 @@ def _solve_log1p(a, b, u, g=0.0, max_iter=60, tol=1e-15):
 def _scalar(out):
     """A float for a scalar input, the array otherwise."""
     return out if np.ndim(out) else float(out)
+
+
+def _exp_pair(n, rng, r1, r2):
+    """E1/r1 and E2/r2 for two rows of n standard exponentials, in place.  A
+    survival e^{-r1 z} e^{-r2 h(z)}, h increasing from h(0) = 0, is that of
+    min(E1/r1, h^-1(E2/r2)), the draw of the three Newton families."""
+    e = rng.standard_exponential((2, n))
+    e[0] /= r1
+    e[1] /= r2
+    return e[0], e[1]
 
 
 class TailModel:
@@ -306,6 +318,16 @@ class LogPareto(TailModel):
         out *= self.x0
         return out
 
+    def sample(self, n, rng):
+        """x0 exp(min(E1/alpha, expm1(E2/beta))): log(X/x0) is the minimum of
+        an Exp(alpha) draw and a draw with survival (1 + v)^(-beta)."""
+        x, v = _exp_pair(n, rng, self.alpha, self.beta)
+        np.expm1(v, out=v)
+        np.minimum(x, v, out=x)
+        np.exp(x, out=x)
+        x *= self.x0
+        return x
+
     def alpha_moment(self, s):
         if s < 0:
             raise ValueError("s must be >= 0")
@@ -358,6 +380,16 @@ class ExpPoly(TailModel):
         out += self.t0
         return out
 
+    def sample(self, n, rng):
+        """t0 + min(E1/alpha, t0 expm1(E2/(-p))): X - t0 is the minimum of an
+        Exp(alpha) draw and a draw with survival (1 + z/t0)^p."""
+        x, z = _exp_pair(n, rng, self.alpha, -self.p)
+        np.expm1(z, out=z)
+        z *= self.t0
+        np.minimum(x, z, out=x)
+        x += self.t0
+        return x
+
 
 @dataclass(frozen=True, repr=False)
 class ExpStretched(TailModel):
@@ -394,6 +426,20 @@ class ExpStretched(TailModel):
         out *= t0
         out += t0
         return out
+
+    def sample(self, n, rng):
+        """min(t0 + E1/alpha, (t0^gamma + E2/beta)^(1/gamma)): the minimum of
+        an Exp(alpha) draw above t0 and a draw with survival
+        exp(-beta (t^gamma - t0^gamma)), the latter taken as
+        t0 (1 + E2/(beta t0^gamma))^(1/gamma), which is t0 itself at E2 = 0."""
+        g, t0 = self.gamma, self.t0
+        x, y = _exp_pair(n, rng, self.alpha, self.beta * t0**g)
+        x += t0
+        y += 1.0
+        y **= 1.0 / g
+        y *= t0
+        np.minimum(x, y, out=x)
+        return x
 
 
 @dataclass(frozen=True, repr=False)

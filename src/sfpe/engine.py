@@ -309,14 +309,16 @@ def conditional_tail(coeff: CoeffLaw, kind: str, t: float, y, side=+1):
     so side * Psi(y) > t is (side s) W + side B > t for A = W > 0, and
     (-side s) W + side B > t for A = -W, which a signed law takes with
     probability 1 - p_plus."""
-    s = one_step(kind, coeff.dependence)[0](np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    s = one_step(kind, coeff.dependence)[0](y)
     wm, bm, p = coeff.marginal_a, coeff.marginal_b, coeff.p_plus
     if coeff.dependence == EQUAL:  # B = A: Psi(y) = A s
         return _scaled_tail(wm, side * s, t)
     if kind == MAX_AFFINE:
         if side < 0:
-            # A, B >= 0: max(Ay, B) has no left tail below -t < 0
-            return np.zeros_like(s)
+            # P[max(Ay, B) < -t] = P[Ay < -t] P[B < -t], at the raw state y:
+            # 0 unless B may lie below -t (a negative Constant)
+            return _scaled_tail(wm, -y, t) * (1.0 - float(bm.survival(-t)))
         sa = _scaled_tail(wm, s, t)
         sb = float(bm.survival(t))
         return sa + sb - sa * sb

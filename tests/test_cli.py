@@ -302,6 +302,26 @@ class TestEstimate:
         _forbid_sampling(monkeypatch)
         assert main(["estimate", "--config", path]) == EXIT_OK
 
+    def test_max_affine_left_tail_below_a_negative_b(self, config_file, tmp_path):
+        # one step from -4 gives states y in [-5, -1.6]; the next step is
+        # below -t < -5 iff A y is, so the smoothed left tail is the batch
+        # mean of S_A(t / -y), not 0
+        text = BASE_CONFIG.replace("kind = affine", "kind = max_affine").replace(
+            B_LINE, "b = constant(c=-5.0)\n"
+        ).replace("c_b = 1.0\n", "").replace(
+            "workers = 1", "workers = 1\nx_init = -4.0\nburn_in = 1"
+        ).replace("sigma = 0.45", "sigma = 0.45\nside = left\nt_grid = 0.5,1,2")
+        path = config_file(text)
+        _simulate(path)
+        assert main(["estimate", "--config", path]) == EXIT_OK
+        rows = (tmp_path / "out" / "estimate.csv").read_text().strip().split("\n")[1:]
+        t, p_hat = np.array([row.split(",")[:2] for row in rows], dtype=float).T
+        y = engine.load_batch(tmp_path / "out" / "batch.bin").values
+        a = LogPareto(2.0, 3.0, 0.4)
+        expected = [np.mean(a.survival(level / -y)) for level in t]
+        assert p_hat[0] == 1.0 and p_hat[-1] > 0.0
+        np.testing.assert_allclose(p_hat, expected, rtol=1e-6)
+
     def test_perpetuity_batch(self, config_file, monkeypatch):
         # the sidecar echoes the config that made the batch, so it matches
         path = config_file(BASE_CONFIG.replace("method = chain", "method = perpetuity"))

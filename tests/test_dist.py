@@ -229,8 +229,10 @@ class TestSampling:
         se = math.sqrt(p * (1 - p) / 10**6)
         assert abs(np.mean(x > 4.0) - p) <= 3 * se
 
-    @pytest.mark.parametrize("model", ALL_MODELS[:4])
+    @pytest.mark.parametrize("model", ALL_MODELS)
     def test_chi_square_fit(self, model):
+        # the bin edges come from `quantile`, a route the minimum-of-two
+        # samplers of the Newton families do not share
         from scipy.stats import chisquare
 
         rng = np.random.default_rng(7)
@@ -243,6 +245,12 @@ class TestSampling:
         expected[:20] = n * 0.0475  # 0.95/20 per interior bin
         stat, pval = chisquare(counts, expected * counts.sum() / expected.sum())
         assert pval > 1e-3
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [Constant(1.5)])
+    def test_same_seed_same_bytes(self, model):
+        draws = [model.sample(1000, np.random.default_rng(3)) for _ in range(2)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+        assert draws[0].shape == (1000,) and np.all(draws[0] >= model.support_low)
 
 
 class TestMoments:

@@ -240,6 +240,18 @@ class TestConditionalTail:
         out = conditional_tail(coeff, MAX_AFFINE, 10.0, np.array([2.0]))
         assert out[0] == pytest.approx(0.04)
 
+    def test_max_affine_left_tail(self):
+        # P[max(A y, B) < -t] = P[A y < -t] P[B < -t]: with B = -5 and t = 1
+        # that is 1 at y = -3 (A >= 0.4 > 1/3) and S_A(1) at y = -1
+        coeff = CoeffLaw(LP, Constant(-5.0), INDEPENDENT)
+        out = conditional_tail(coeff, MAX_AFFINE, 1.0, np.array([-3.0, -1.0, 2.0]), side=-1)
+        np.testing.assert_allclose(out, [1.0, LP.survival(1.0), 0.0], rtol=1e-15)
+        assert LP.survival(1.0) == pytest.approx(0.0228, abs=1e-4)
+        # B = -5 is never below -t = -6, and a positive B never below -t
+        assert np.all(conditional_tail(coeff, MAX_AFFINE, 6.0, np.array([-3.0, -1.0]), side=-1) == 0.0)
+        positive = CoeffLaw(LP, LP, INDEPENDENT)
+        assert np.all(conditional_tail(positive, MAX_AFFINE, 1.0, np.array([-3.0, -1.0]), side=-1) == 0.0)
+
     def test_indep_affine_vs_monte_carlo(self):
         rng = np.random.default_rng(17)
         n = 2_000_000

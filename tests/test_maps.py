@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sfpe.dist import Constant, LogPareto, Pareto
+from sfpe.engine import conditional_tail
 from sfpe.maps import (
     AFFINE,
     EQUAL,
@@ -212,8 +213,11 @@ class TestClosedForms:
             assert np.max(np.abs(np.diff(vals))) < 0.2  # no jumps on a fine grid
 
     def test_empirical_ratio_converges_to_closed_form(self):
-        # Monte Carlo check of the defining limit at fixed y for the
-        # independent affine family
+        # the defining limit at fixed y for the independent affine family.
+        # The Monte Carlo ratio is held against the exact finite-t ratio at
+        # the levels its sample reaches (an expected 5 or more exceedances:
+        # t = 20 and 60, not 180, where 4e6 draws expect 0.36), and the
+        # exact ratio is seen to approach f_plus like 1 / log t deep in the tail
         fam = indep_family()
         y, alpha = 2.0, 2.0
         rng = np.random.default_rng(19)
@@ -221,14 +225,25 @@ class TestClosedForms:
         a = LP.sample(n, rng)
         b = LP.sample(n, rng)
         target = float(f_plus(fam, y, alpha))
-        devs = []
-        for t in (20.0, 60.0, 180.0):
-            p = np.mean(a * y + b > t)
-            ratio = p / LP.survival(t)
+
+        def exact(t):
+            return conditional_tail(fam.coeff, AFFINE, t, np.array([y]))[0]
+
+        levels = (20.0, 60.0, 180.0)
+        reached = [t for t in levels if n * exact(t) >= 5.0]
+        assert reached == [20.0, 60.0]
+        for t in reached:
+            p = exact(t)
             se = math.sqrt(p * (1 - p) / n) / LP.survival(t)
-            devs.append((abs(ratio - target), 3 * se))
-        # converged into the 3-se band by the last t
-        assert devs[-1][0] <= max(devs[-1][1], 0.05 * target)
+            ratio = np.mean(a * y + b > t) / LP.survival(t)
+            assert abs(ratio - p / LP.survival(t)) <= 4 * se, t
+        t = 10.0 ** np.arange(3.0, 13.0, 3.0)
+        dev = np.array([exact(level) / LP.survival(level) for level in t]) - target
+        assert np.all(dev > 0.0) and np.all(np.diff(dev) < 0.0)
+        # dev log t is flat (7.7 to 8.2), so dev -> 0; a target 2 % off
+        # would make it drift by more than 25 % over these levels
+        scaled = dev * np.log(t)
+        assert scaled.max() / scaled.min() < 1.1
 
 
 def assert_f_bound(fam, alpha, y):

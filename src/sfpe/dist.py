@@ -1,34 +1,38 @@
 """Parametric heavy-tailed distribution families with exact survival functions.
 
 Every model exposes the same small surface: ``survival`` (exact, vectorized),
-``log_survival``, ``quantile`` (inverse survival), ``sample``, ``alpha_moment``
-(power moments E|X|^s, closed form where available, adaptive quadrature
+``log_survival``, ``elasticity`` (-d log S / d log t, the hazard on the log
+scale), ``quantile`` (inverse survival), ``sample``, ``alpha_moment`` (power
+moments E|X|^s, closed form where available, adaptive quadrature
 otherwise), ``exp_moment`` (exponential moments E[e^{sX}]) and ``params``.
 Models are immutable after construction and safe to share between workers.
 
 A family states only its parameters (the dataclass fields, checked in
-``__post_init__``), its ``support_low`` and three formulas: ``_tail(t)``,
+``__post_init__``), its ``support_low`` and four formulas: ``_tail(t)``,
 S(t) for t > support_low; ``_log_tail(t)``, log S(t) for t >= support_low;
-and ``_inverse(u)``, the t with S(t) = u.  `TailModel` owns the rest:
+``_elasticity(t)``, -d log S / d log t for t >= support_low; and
+``_inverse(u)``, the t with S(t) = u.  `TailModel` owns the rest:
 ``survival`` is 1 up to support_low and ``_tail`` above it, ``log_survival``
-is ``_log_tail`` at max(t, support_low), ``quantile`` rejects u outside
-(0, 1] before it calls ``_inverse``, all three return a float for a scalar
-and an array of the same shape for an array, and ``params`` and the keys
-``parse_model`` accepts are the dataclass fields.  ``Constant`` keeps its
-own ``survival`` and ``log_survival``, since a point mass has survival 0 at
-c itself.
+and ``elasticity`` are ``_log_tail`` and ``_elasticity`` at
+max(t, support_low), ``quantile`` rejects u outside (0, 1] before it calls
+``_inverse``, all four return a float for a scalar and an array of the same
+shape for an array, and ``params`` and the keys ``parse_model`` accepts are
+the dataclass fields.  ``Constant`` keeps its own ``survival`` and
+``log_survival``, since a point mass has survival 0 at c itself, and has no
+``elasticity``.
 
 The LogPareto, ExpPoly and ExpStretched survivals are each the product of
 two closed-form survivals, so these three sample a draw as the minimum of
 two independent closed-form draws from two standard exponentials, with no
-root-finding; the other families sample by inverse transform.  Their
-quantiles (the hot kernel of the smoothing quadrature, and the tests'
-oracle for the samplers) all reduce to a v + b phi_g(v) = -log u, with
-phi_0 = log1p for the first two and phi_g(v) = expm1(g log1p(v)) / g,
-g = gamma, for ExpStretched.  One solver, `_solve_log1p`, serves all
-three: Newton steps from the first-order inverse, written into
-preallocated arrays, with each element stopping on its own.
-"""
+root-finding; the other families sample by inverse transform.  No runtime
+path inverts these three: the smoothing quadrature integrates over log t
+with the closed-form ``elasticity``.  Their quantiles stay as the tests'
+independent oracle for the samplers, and all reduce to
+a v + b phi_g(v) = -log u, with phi_0 = log1p for the first two and
+phi_g(v) = expm1(g log1p(v)) / g, g = gamma, for ExpStretched.  One solver,
+`_solve_log1p`, serves all three: Newton steps from the first-order
+inverse, written into preallocated arrays, with each element stopping on
+its own."""
 
 from __future__ import annotations
 
@@ -168,6 +172,12 @@ class TailModel:
         t = np.asarray(t, dtype=float)
         return _scalar(self._log_tail(np.maximum(t, self.support_low)))
 
+    def elasticity(self, t):
+        """e(t) = -d log S / d log t, at max(t, support_low): the hazard on the
+        log scale, so the law has density S(t) e(t) in log t."""
+        t = np.asarray(t, dtype=float)
+        return _scalar(self._elasticity(np.maximum(t, self.support_low)))
+
     def log_survival_logx(self, u):
         """log P[X > e^u]; overridden where e^u would overflow prematurely."""
         u = np.asarray(u, dtype=float)
@@ -261,6 +271,9 @@ class Pareto(TailModel):
         # np.log for both logs, so that log S(x0) is exactly 0
         return self.alpha * (np.log(self.x0) - np.log(t))
 
+    def _elasticity(self, t):
+        return np.full_like(t, self.alpha)
+
     def log_survival_logx(self, u):
         u = np.asarray(u, dtype=float)
         lx0 = math.log(self.x0)
@@ -306,6 +319,9 @@ class LogPareto(TailModel):
     def _log_tail(self, t):
         lr = np.log(t / self.x0)
         return -self.alpha * lr - self.beta * np.log1p(lr)
+
+    def _elasticity(self, t):
+        return self.alpha + self.beta / (1.0 + np.log(t / self.x0))
 
     def log_survival_logx(self, u):
         u = np.asarray(u, dtype=float)
@@ -373,6 +389,9 @@ class ExpPoly(TailModel):
     def _log_tail(self, t):
         return self.p * np.log(t / self.t0) - self.alpha * (t - self.t0)
 
+    def _elasticity(self, t):
+        return self.alpha * t - self.p
+
     def _inverse(self, u):
         # a z + q log1p(z / t0) = -log u, solved for v = z / t0
         out = _solve_log1p(self.alpha * self.t0, -self.p, u)
@@ -418,6 +437,9 @@ class ExpStretched(TailModel):
         return -self.alpha * (t - self.t0) - self.beta * (
             t**self.gamma - self.t0**self.gamma
         )
+
+    def _elasticity(self, t):
+        return self.alpha * t + self.beta * self.gamma * t**self.gamma
 
     def _inverse(self, u):
         # a z + beta ((t0 + z)^gamma - t0^gamma) = -log u, solved for v = z / t0

@@ -6,7 +6,9 @@ bound.  On top of a batch, the Rao-Blackwellized (smoothed) tail estimator
 averages the closed-form one-step tail over the samples by a local cubic
 rule on one grid per batch: the weights are built once per batch, and each
 level evaluates the one-step tail on the grid's nodes alone, never on the
-samples.  Sampling is chunked; each chunk owns a
+samples.  The one-step tail of the affine map is a Gauss-Legendre quadrature
+over log B with the closed-form B density S_B e_B (`TailModel.elasticity`),
+so smoothing calls no quantile.  Sampling is chunked; each chunk owns a
 counter-based Philox stream keyed by (seed, chunk_index), so results are
 bit-identical for any worker count.
 """
@@ -186,6 +188,7 @@ def sample_perpetuity(coeff: CoeffLaw, cfg: SimConfig, workers: int = 1) -> Samp
 _GL_NODES = 96
 _GL_PANELS = 12
 _GL_BLOCK = 512  # rows per block of _affine_branch: (512, 96) float64 = 393 KB
+_TAIL_EPS = 1e-12  # bound on the B mass past the cut of an unbounded interval, over S_B(b0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -213,90 +216,121 @@ def _scaled_tail(marginal: TailModel, s, u):
     return out
 
 
+def _graded(start, end, first, panels):
+    """(n, panels + 1) panel edges per row from start to end (either way
+    round): the first panel, at start, of width `first`, the rest widening
+    geometrically up to end."""
+    span = end - start
+    size = np.abs(span)
+    ratio = np.clip(first / np.where(size > 0.0, size, 1.0), 1e-300, 1.0)
+    rel = ratio[:, None] ** ((panels - 1 - np.arange(panels)) / (panels - 1))
+    rel = np.concatenate([np.zeros((start.size, 1)), rel], axis=1)
+    return start[:, None] + span[:, None] * rel
+
+
 def _affine_branch(wm: TailModel, bm: TailModel, s, t: float, sigma: int):
     """P[s W + sigma B > t] for independent W ~ wm > 0 and B ~ bm > 0, or a
     `Constant` of either sign, t > 0 and sigma = +-1.
 
-    Integrates P[s W > t - sigma b] over the B marginal on its survival scale
-    v = S_B(b).  For s != 0 the integrand is exactly 0 or 1 on one side of
-    the edge v_e = S_B(sigma (t - s x0w)), x0w the lower end of W; that flat
-    part is added in closed form (missing the exact-one region near v = 0
-    silently drops the "B alone exceeds t" mass, which dominates deep in the
-    tail).  For sigma = +1, by ramp = S_B(t - 2 s x0w) the integrand has
-    moved from its flat value to S_W(2 x0w) (s > 0) or 1 - S_W(2 x0w)
-    (s < 0).  Each case is:
+    Integrates P[s W > t - sigma b] over the B marginal on the scale
+    u = log b, where dF_B = S_B(b) e_B(b) du with the closed-form
+    e_B = `TailModel.elasticity`.  Let b0 = max(sigma (t - s x0w), x0B), x0w
+    and x0B the lower ends of W and B.  For s != 0 the integrand is exactly
+    0 or 1 on one side of b0; that flat part is added in closed form
+    (missing it silently drops the "B alone exceeds t" mass, which
+    dominates deep in the tail), and on the other side the live integrand
+    is S_W((t - sigma b) / s) for both signs of s:
 
-      case                  flat part   live interval   graded from   first panel
-      sigma = +1, s > 0     v_e         [v_e, 1]        v_e           min(ramp - v_e, v_e)
-      sigma = +1, s < 0     0           [0, v_e]        v_e           min(v_e - ramp, v_e)
-      sigma = -1, s > 0     1 - v_e     [0, v_e]        0             1e-6 v_e
-      otherwise             S_B(t) for sigma = +1, 0 for sigma = -1; nothing live
+      case                flat part     live interval in u               sign
+      sigma = +1, s > 0   S_B(b0)       [log x0B, log b0], two halves    +
+      sigma = +1, s < 0   S_B(b0)       [log b0, log b0 + L / m]         -
+      sigma = -1, s > 0   1 - S_B(b0)   [log b0, log b0 + L / m]         +
+      otherwise           S_B(t) for sigma = +1, 0 for sigma = -1; nothing live
 
-    The live integrand is S_W((t - sigma b) / s) for s > 0 and one minus it
-    for s < 0.  It changes fast at the end it is graded from: at the edge
-    within the ramp, a layer that can be much thinner than the interval,
-    and within v_e, the scale on which b(v) itself moves there; near v = 0
-    like v times powers of log v.  So the node budget is spent on panels
-    that widen geometrically away from that end instead of on one rule over
-    the interval.
+    and 1, with nothing live, for sigma = +1, s > 0 where b0 = x0B, since
+    then s W + B > s x0w + x0B >= t.
+
+    An unbounded interval is cut at L = log(1 / _TAIL_EPS) over m, a lower
+    bound of e_B on [b0, inf): alpha for the regularly varying families, whose
+    e_B falls to alpha, and e_B(b0) for the others, whose e_B rises.  Since
+    S_B(b) <= S_B(b0) e^{-m (u - log b0)} and the integrand is at most 1, the
+    mass dropped is at most _TAIL_EPS S_B(b0); the integrand falls with b, so
+    that is also at most _TAIL_EPS / (1 - _TAIL_EPS) of the integral kept.
+
+    The integrand changes fast near each end it is graded from: W's
+    argument moves by its own size within log1p(|t - sigma b| / b) of b
+    (the ramp of width |s| x0w at b0, where the integrand leaves 1), and B's
+    mass within 1 / e_B(b).  So the node budget is spent on panels whose
+    first, at that end, is the smaller of the two, widening geometrically
+    away from it: _GL_PANELS panels from log b0 on an unbounded interval,
+    half of them from each end on the bounded one, where B's mass sits at
+    log x0B and the ramp at log b0.  The integrand is taken as one exp of
+    log S_W + log S_B, times e_B.
 
     Each element of s is one row of _GL_NODES nodes.  Rows are evaluated in
-    blocks of _GL_BLOCK, so the node, quantile and integrand arrays stay
-    cache-sized (393 KB each) instead of growing with s (1.6 MB each on the
-    2048-node smoothing grid) and being page-faulted in afresh on every
-    call.  A row's sum is the same reduction in any block, and the quantile
-    solves each element on its own, so the blocking changes no bit.
+    blocks of _GL_BLOCK in preallocated cache-sized arrays (393 KB each)
+    instead of arrays that grow with s (1.6 MB each on the 2048-node
+    smoothing grid) and are page-faulted in afresh on every call.  A row's
+    sum is the same reduction in any block, so the blocking changes no bit.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if isinstance(bm, Constant):
         return _scaled_tail(wm, s, t - sigma * bm.c)
-    x0w = wm.support_low
-
-    def _gl_graded(start, end, first, scale, h):
-        # integral of h(b, scale) over v between start and end (either way
-        # round), per element: _GL_PANELS panels, the first (at start) of
-        # width `first`, the rest widening geometrically up to end.  Rows go
-        # in blocks of _GL_BLOCK, each with its slice of `scale`
-        g, gw = _gl01(_GL_NODES // _GL_PANELS)
-        k = np.arange(_GL_PANELS)
-        sums = []
-        for lo in range(0, start.size, _GL_BLOCK):
-            rows = slice(lo, lo + _GL_BLOCK)
-            st = start[rows]
-            span = end[rows] - st
-            size = np.abs(span)
-            ratio = np.clip(first[rows] / np.where(size > 0.0, size, 1.0), 1e-300, 1.0)
-            offsets = ratio[:, None] ** ((_GL_PANELS - 1 - k) / (_GL_PANELS - 1))
-            rel = np.concatenate([np.zeros((st.size, 1)), offsets], axis=1)
-            edges = st[:, None] + span[:, None] * rel
-            width = np.diff(edges, axis=1)
-            v = (edges[:, :-1, None] + width[:, :, None] * g).reshape(st.size, -1)
-            b = bm.quantile(np.clip(v, 1e-300, 1.0))
-            weights = (np.abs(width)[:, :, None] * gw).reshape(st.size, -1)
-            sums.append(np.sum(h(b, scale[rows, None]) * weights, axis=1))
-        return np.concatenate(sums)
-
-    def integrand(b, s):
-        # S_W((t - sigma b) / s), one minus it for s < 0, without a multiply
-        # by sigma or a copy: an extra pass over the block slows smoothing
-        p = wm.survival((t - b if sigma > 0 else t + b) / s)
-        np.subtract(1.0, p, out=p, where=s < 0)
-        return p
-
+    x0w, x0b = wm.support_low, bm.support_low
     out = np.full(s.shape, float(bm.survival(t)) if sigma > 0 else 0.0)
     live = s != 0 if sigma > 0 else s > 0
-    sl = s[live]
-    edge = bm.survival(sigma * (t - sl * x0w))
     if sigma > 0:
-        ramp = bm.survival(t - 2.0 * sl * x0w)
-        flat = np.where(sl > 0, edge, 0.0)
-        start, end = edge, (sl > 0).astype(float)
-        first = np.minimum(np.sign(sl) * (ramp - edge), edge)
+        sure = (s > 0) & (t - s * x0w <= x0b)
+        out[sure] = 1.0
+        live &= ~sure
+    sl = s[live]
+    b0 = np.maximum(sigma * (t - sl * x0w), x0b)
+    u0 = np.log(b0)
+
+    def first(b):
+        return np.minimum(np.log1p(np.abs(t - sigma * b) / b), 1.0 / bm.elasticity(b))
+
+    half = _GL_PANELS // 2
+    bounded = sl > 0 if sigma > 0 else np.zeros(sl.shape, dtype=bool)
+    edges = np.empty((sl.size, _GL_PANELS + 1))
+    ue = u0[bounded]
+    mid = 0.5 * (math.log(x0b) + ue)
+    left = _graded(np.full_like(ue, math.log(x0b)), mid, first(x0b), half)
+    right = _graded(ue, mid, first(b0[bounded]), half)
+    edges[bounded] = np.concatenate([left, right[:, -2::-1]], axis=1)  # mid once
+    bf, uf = b0[~bounded], u0[~bounded]
+    m = np.full_like(bf, bm.alpha) if bm.regularly_varying else bm.elasticity(bf)
+    edges[~bounded] = _graded(uf, uf + math.log(1.0 / _TAIL_EPS) / m, first(bf), _GL_PANELS)
+
+    g, gw = _gl01(_GL_NODES // _GL_PANELS)
+    u, b, x = (np.empty((min(sl.size, _GL_BLOCK), _GL_PANELS, g.size)) for _ in range(3))
+    integral = np.empty(sl.size)
+    for lo in range(0, sl.size, _GL_BLOCK):
+        rows = slice(lo, lo + _GL_BLOCK)
+        e = edges[rows]
+        n = e.shape[0]
+        width = np.diff(e, axis=1)[:, :, None]
+        un, bn, xn = u[:n], b[:n], x[:n]
+        np.multiply(width, g, out=un)
+        un += e[:, :-1, None]
+        np.exp(un, out=bn)
+        if sigma > 0:
+            np.subtract(t, bn, out=xn)
+        else:
+            np.add(t, bn, out=xn)
+        xn /= sl[rows, None, None]
+        h = wm.log_survival(xn)
+        h += bm.log_survival_logx(un)
+        np.exp(h, out=h)
+        h *= bm.elasticity(bn)
+        np.multiply(width, gw, out=xn)
+        h *= xn
+        integral[rows] = np.sum(h.reshape(n, -1), axis=1)
+    sb0 = bm.survival(b0)
+    if sigma > 0:
+        out[live] = sb0 + np.where(bounded, integral, -integral)
     else:
-        flat = 1.0 - edge
-        start, end, first = np.zeros_like(edge), edge, 1e-6 * edge
-    if sl.size:
-        out[live] = flat + _gl_graded(start, end, first, sl, integrand)
+        out[live] = 1.0 - sb0 + integral
     return out
 
 

@@ -72,6 +72,18 @@ class TestSurvival:
         )
 
 
+class TestElasticity:
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_matches_central_difference(self, model):
+        # e(t) = -dlog S / dlog t against a central difference of
+        # log_survival in log t, from just above the support edge out
+        t = model.support_low * np.array([1.01, 1.5, 3.0, 10.0, 100.0])
+        h = 1e-5
+        diff = (model.log_survival(t * math.exp(-h)) - model.log_survival(t * math.exp(h))) / (2 * h)
+        np.testing.assert_allclose(model.elasticity(t), diff, rtol=1e-7, atol=0.0)
+        assert type(model.elasticity(float(t[1]))) is float
+
+
 class TestQuantile:
     def test_pareto_closed_form(self):
         assert Pareto(2.0, 1.0).quantile(0.01) == pytest.approx(10.0, rel=1e-14)

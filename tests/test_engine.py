@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from sfpe import engine
-from sfpe.dist import Constant, LogPareto, Pareto
+from sfpe.dist import Constant, ExpPoly, ExpStretched, LogPareto, Pareto, TailModel
 from sfpe.engine import (
     EngineError,
     SampleBatch,
@@ -39,6 +39,10 @@ EQUAL_COEFF = CoeffLaw(LP, LP, EQUAL)
 CONST_B = CoeffLaw(LP, Constant(1.0), INDEPENDENT)
 # B on a support edge of its own
 OTHER_B = CoeffLaw(LP, LogPareto(3.0, 1.5, 1.0), SIGNED, p_plus=0.75)
+# B of each other family: a pure power tail and two light tails
+PARETO_B = CoeffLaw(LP, Pareto(3.0, 1.0), SIGNED, p_plus=0.75)
+EXP_POLY_B = CoeffLaw(LP, ExpPoly(1.0, -2.0, 1.0), SIGNED, p_plus=0.75)
+EXP_STRETCHED_B = CoeffLaw(LP, ExpStretched(1.0, 1.0, 0.5, 1.0), SIGNED, p_plus=0.75)
 
 
 class TestSimConfig:
@@ -278,10 +282,27 @@ class TestConditionalTail:
                 assert abs(exact - mc) <= 4 * se + 1e-9
 
 
+def _log_density(b, x):
+    """dF_B / dlog b at b = e^x, which is S_B(b) e_B(b) with
+    e_B = -dlog S_B / dlog b, written out for each family of B."""
+    v = math.exp(x)
+    if isinstance(b, Pareto):  # S = (x0/v)^alpha
+        return b.alpha * (b.x0 / v) ** b.alpha
+    if isinstance(b, LogPareto):  # S = (x0/v)^alpha (1 + r)^-beta, r = log(v/x0)
+        r = x - math.log(b.x0)
+        return math.exp(-b.alpha * r) * (1.0 + r) ** -b.beta * (b.alpha + b.beta / (1.0 + r))
+    if isinstance(b, ExpPoly):  # S = (v/t0)^p e^{-alpha (v - t0)}
+        return (v / b.t0) ** b.p * math.exp(-b.alpha * (v - b.t0)) * (b.alpha * v - b.p)
+    # ExpStretched: S = exp{-alpha (v - t0) - beta (v^gamma - t0^gamma)}
+    g = b.gamma
+    log_s = -b.alpha * (v - b.t0) - b.beta * (v**g - b.t0**g)
+    return math.exp(log_s) * (b.alpha * v + b.beta * g * v**g)
+
+
 def _affine_branch_by_quad(w, b, s, t, sigma):
     """P[s W + sigma B > t] = int P[s W > t - sigma b] dF_B(b) for independent
-    LogPareto W, B, by adaptive quadrature over x = log b, split at the kinks
-    of the integrand and densely on both sides of each."""
+    LogPareto W and B of any family, by adaptive quadrature over x = log b,
+    split at the kinks of the integrand and densely on both sides of each."""
 
     def p_sw(c):
         if s > 0:
@@ -291,13 +312,11 @@ def _affine_branch_by_quad(w, b, s, t, sigma):
         return float(c < 0.0)
 
     def integrand(x):
-        # dF_B = S_B(b) (alpha + beta / (1 + log(b / x0))) dlog b
-        r = x - math.log(b.x0)
-        dens = float(b.survival(math.exp(x))) * (b.alpha + b.beta / (1.0 + r))
-        return p_sw(t - sigma * math.exp(x)) * dens
+        return p_sw(t - sigma * math.exp(x)) * _log_density(b, x)
 
-    lo = math.log(b.x0)  # up to log b = 600, beyond which dF_B is nil
-    kinks = [k for k in ((t - s * w.x0) / sigma, t / sigma) if k > b.x0]
+    x0 = b.support_low
+    lo = math.log(x0)  # up to log b = 600, beyond which dF_B is nil
+    kinks = [k for k in ((t - s * w.x0) / sigma, t / sigma) if k > x0]
     kinks = [math.log(k) for k in kinks]
     near = [k + side * math.log1p(10.0**j)
             for k in kinks for j in range(-7, 4) for side in (-1, 1)]
@@ -309,15 +328,17 @@ def _affine_branch_by_quad(w, b, s, t, sigma):
 
 
 class TestConditionalTailQuadrature:
-    # Gauss-Legendre over the B survival scale against adaptive quadrature
-    # over log B; the 4-sigma Monte Carlo tests above cannot resolve a
-    # percent-level bias deep in the tail
+    # Gauss-Legendre over log B against adaptive quadrature over log B with
+    # the density written out; the 4-sigma Monte Carlo tests above cannot
+    # resolve a percent-level bias deep in the tail
     YS = (-3.0, -1.0, -0.3, 0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0)
     TS = (2.0, 3.5, 10.0, 50.0, 200.0)
 
     @pytest.mark.parametrize("coeff,side", [
         (INDEP, +1), (SIGNED_COEFF, +1), (SIGNED_COEFF, -1), (OTHER_B, +1), (OTHER_B, -1),
-    ], ids=["independent", "signed-right", "signed-left", "other-b-right", "other-b-left"])
+        (PARETO_B, +1), (EXP_POLY_B, +1), (EXP_STRETCHED_B, +1),
+    ], ids=["independent", "signed-right", "signed-left", "other-b-right", "other-b-left",
+            "pareto-b-right", "exp-poly-b-right", "exp-stretched-b-right"])
     def test_affine_matches_quadrature(self, coeff, side):
         p = coeff.p_plus
         w, b = coeff.marginal_a, coeff.marginal_b
@@ -462,6 +483,20 @@ class TestSmoothedTail:
             np.testing.assert_allclose(
                 se[i], vals.std(ddof=1) / math.sqrt(vals.size), rtol=1e-12, atol=0.0
             )
+
+    @ALL_CASES
+    def test_calls_no_quantile(self, coeff, side, monkeypatch):
+        # the one-step tail integrates over log B with the closed-form
+        # density: no quantile on the smoothing path
+        batch = _chain_batch(coeff, 50_000)
+
+        def refused(self, u):
+            raise AssertionError("quantile called while smoothing")
+
+        monkeypatch.setattr(TailModel, "quantile", refused)
+        ts = np.concatenate([[0.3, 1.2], default_grid(batch, side=side)])
+        est, _ = smoothed_tail(batch, coeff, AFFINE, ts, side=side)
+        assert np.all(np.isfinite(est))
 
     @pytest.mark.parametrize("n", [1, 1000, 50_000])
     def test_cost_is_the_grid_whatever_the_batch_size(self, n, monkeypatch):

@@ -308,8 +308,15 @@ def _predicted_constants(family, batch, alpha):
     # E[A_-^alpha] is 0 even where E[W^alpha] is infinite
     mu_p = p * e_w_alpha
     mu_m = (1.0 - p) * e_w_alpha if p < 1.0 else 0.0
-    xi_p, _ = tailstats.plugin_moment(batch, lambda y: f_plus(family, y, alpha))
-    xi_m, _ = tailstats.plugin_moment(batch, lambda y: f_minus(family, y, alpha))
+    # a functional that overflows is a numeric failure, not a bad config
+    try:
+        with np.errstate(over="ignore"):
+            xi_p, _ = tailstats.plugin_moment(batch, lambda y: f_plus(family, y, alpha))
+            xi_m, _ = tailstats.plugin_moment(batch, lambda y: f_minus(family, y, alpha))
+    except NoClosedFormError:
+        raise
+    except ValueError as exc:
+        raise ArithmeticError(f"plug-in one-step functional at alpha = {alpha}: {exc}") from None
     return theory.ifs_constants(mu_p, mu_m, xi_p, xi_m)
 
 

@@ -8,31 +8,28 @@ otherwise), ``exp_moment`` (exponential moments E[e^{sX}]) and ``params``.
 Models are immutable after construction and safe to share between workers.
 
 A family states only its parameters (the dataclass fields, checked in
-``__post_init__``), its ``support_low`` and four formulas: ``_tail(t)``,
+``__post_init__``), its ``support_low`` and three formulas: ``_tail(t)``,
 S(t) for t > support_low; ``_log_tail(t)``, log S(t) for t >= support_low;
-``_elasticity(t)``, -d log S / d log t for t >= support_low; and
-``_inverse(u)``, the t with S(t) = u.  `TailModel` owns the rest:
-``survival`` is 1 up to support_low and ``_tail`` above it, ``log_survival``
-and ``elasticity`` are ``_log_tail`` and ``_elasticity`` at
-max(t, support_low), ``quantile`` rejects u outside (0, 1] before it calls
-``_inverse``, all four return a float for a scalar and an array of the same
-shape for an array, and ``params`` and the keys ``parse_model`` accepts are
-the dataclass fields.  ``Constant`` keeps its own ``survival`` and
-``log_survival``, since a point mass has survival 0 at c itself, and has no
-``elasticity``.
+``_elasticity(t)``, -d log S / d log t for t >= support_low; and, only
+where it has a closed form, ``_inverse(u)``, the t with S(t) = u.
+`TailModel` owns the rest: ``survival`` is 1 up to support_low and
+``_tail`` above it, ``log_survival`` and ``elasticity`` are ``_log_tail``
+and ``_elasticity`` at max(t, support_low), ``quantile`` rejects u outside
+(0, 1], NaN included, before it calls ``_inverse``, all four return a float
+for a scalar and an array of the same shape for an array, and ``params``
+and the keys ``parse_model`` accepts are the dataclass fields.
+``Constant`` keeps its own ``survival`` and ``log_survival``, since a point
+mass has survival 0 at c itself, and has no ``elasticity``.
 
-The LogPareto, ExpPoly and ExpStretched survivals are each the product of
-two closed-form survivals, so these three sample a draw as the minimum of
-two independent closed-form draws from two standard exponentials, with no
-root-finding; the other families sample by inverse transform.  No runtime
-path inverts these three: the smoothing quadrature integrates over log t
-with the closed-form ``elasticity``.  Their quantiles stay as the tests'
-independent oracle for the samplers, and all reduce to
-a v + b phi_g(v) = -log u, with phi_0 = log1p for the first two and
-phi_g(v) = expm1(g log1p(v)) / g, g = gamma, for ExpStretched.  One solver,
-`_solve_log1p`, serves all three: Newton steps from the first-order
-inverse, written into preallocated arrays, with each element stopping on
-its own."""
+One quantile rule serves every family without a closed-form inverse: the
+default ``_inverse`` bisects log_survival_logx, elementwise, on the log
+scale above support_low.  No runtime path calls it.  The LogPareto, ExpPoly
+and ExpStretched survivals are each the product of two closed-form
+survivals, so these three sample a draw as the minimum of two independent
+closed-form draws from two standard exponentials; ``Pareto`` and
+``Constant`` sample by inverse transform through their closed-form
+``_inverse``.  The smoothing quadrature integrates over log t with the
+closed-form ``elasticity``, so it inverts no survival either."""
 
 from __future__ import annotations
 
@@ -63,72 +60,6 @@ class InvalidParameterError(ValueError):
     """Model parameters outside the admissible range."""
 
 
-def _phi(x, g, out):
-    """phi_g(x) into out: log1p(x) for g = 0, expm1(g log1p(x)) / g for 0 < g < 1."""
-    np.log1p(x, out=out)
-    if g:
-        out *= g
-        np.expm1(out, out=out)
-        out /= g
-
-
-def _solve_log1p(a, b, u, g=0.0, max_iter=60, tol=1e-15):
-    """Solve a v + b phi_g(v) = -log(u) (a, b > 0, 0 <= g < 1, u in (0, 1])
-    elementwise; phi_g is `_phi`, with derivative (1 + v)^(g - 1).
-
-    phi_g is concave and increasing, so Newton's method converges from any
-    start: the first step lands at or below the root, and from below the
-    iteration rises monotonically.  It starts from the first-order inverse
-    max((w - b phi_g(w / (a + b))) / a, 0), w = -log(u), which is right to
-    first order both as w -> 0 and as w -> inf, so the step test runs only
-    from the fourth step on.  There each element stops at its own first
-    small step and the rest go on alone, so an element's root does not
-    depend on the other elements of the call.  The steps write into
-    preallocated arrays; `u` is only read.
-    """
-    w = np.log(u, out=np.empty_like(u))
-    np.negative(w, out=w)
-    root = np.divide(w, a + b, out=np.empty_like(w))
-    _phi(root, g, root)
-    root *= b
-    np.subtract(w, root, out=root)
-    root /= a
-    np.maximum(root, 0.0, out=root)
-    flat = root.reshape(-1)  # a view: writes land in root
-    v, w = flat, w.reshape(-1)
-    active = None  # indices of flat that v holds; None while v is flat
-    f, d = np.empty_like(v), np.empty_like(v)
-    for i in range(max_iter):
-        # f = (a v + b phi_g(v) - w) / (a + b / (1 + v)^(1 - g)), the Newton step
-        _phi(v, g, f)
-        f *= b
-        np.multiply(v, a, out=d)
-        f += d
-        f -= w
-        np.add(v, 1.0, out=d)
-        if g:
-            d **= 1.0 - g
-        np.divide(b, d, out=d)
-        d += a
-        f /= d
-        v -= f
-        np.maximum(v, 0.0, out=v)
-        if i < 3:
-            continue
-        np.abs(f, out=f)
-        np.add(v, 1.0, out=d)
-        d *= tol
-        live = np.flatnonzero(np.greater(f, d))
-        if active is not None:
-            flat[active] = v
-        if live.size == 0:
-            break
-        active = live if active is None else active[live]
-        v, w = flat[active], w[live]
-        f, d = np.empty_like(v), np.empty_like(v)
-    return root
-
-
 def _scalar(out):
     """A float for a scalar input, the array otherwise."""
     return out if np.ndim(out) else float(out)
@@ -137,7 +68,7 @@ def _scalar(out):
 def _exp_pair(n, rng, r1, r2):
     """E1/r1 and E2/r2 for two rows of n standard exponentials, in place.  A
     survival e^{-r1 z} e^{-r2 h(z)}, h increasing from h(0) = 0, is that of
-    min(E1/r1, h^-1(E2/r2)), the draw of the three Newton families."""
+    min(E1/r1, h^-1(E2/r2)), the draw of LogPareto, ExpPoly and ExpStretched."""
     e = rng.standard_exponential((2, n))
     e[0] /= r1
     e[1] /= r2
@@ -187,11 +118,35 @@ class TailModel:
     def quantile(self, u):
         """t with survival(t) = u, for u in (0, 1]."""
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0):
-            raise ValueError("unbounded quantile: u must be in (0, 1]")
-        if np.any(u > 1.0):
+        if not np.all((u > 0.0) & (u <= 1.0)):
+            if np.any(u <= 0.0):
+                raise ValueError("unbounded quantile: u must be in (0, 1]")
             raise ValueError("quantile domain error: u must be in (0, 1]")
         return _scalar(self._inverse(u))
+
+    def _inverse(self, u):
+        """support_low e^d, d >= 0 the root of log_survival_logx(log
+        support_low + d) = log u by bisection, each element on its own: the
+        bracket [0, 1] becomes [h, 2h] while it is still too short, then
+        halves until its midpoint equals an end.  d = 0 at u = 1."""
+        w = np.log(u).reshape(-1)
+        v0 = math.log(self.support_low)
+        lo, hi = np.zeros_like(w), np.ones_like(w)
+        idx = np.flatnonzero(self.log_survival_logx(v0 + hi) > w)
+        while idx.size:
+            lo[idx] = hi[idx]
+            hi[idx] *= 2.0
+            idx = idx[self.log_survival_logx(v0 + hi[idx]) > w[idx]]
+        idx = np.flatnonzero(w < 0.0)
+        while idx.size:
+            a, b = lo[idx], hi[idx]
+            mid = 0.5 * (a + b)
+            live = (mid != a) & (mid != b)
+            idx, mid = idx[live], mid[live]
+            below = self.log_survival_logx(v0 + mid) > w[idx]
+            lo[idx[below]] = mid[below]
+            hi[idx[~below]] = mid[~below]
+        return self.support_low * np.exp(lo).reshape(np.shape(u))
 
     def alpha_moment(self, s: float) -> float:
         """E|X|^s for s >= 0, which is E[X^s] for a positive support; +inf
@@ -328,12 +283,6 @@ class LogPareto(TailModel):
         lr = np.maximum(u - math.log(self.x0), 0.0)
         return _scalar(-self.alpha * lr - self.beta * np.log1p(lr))
 
-    def _inverse(self, u):
-        out = _solve_log1p(self.alpha, self.beta, u)  # log(t / x0)
-        np.exp(out, out=out)
-        out *= self.x0
-        return out
-
     def sample(self, n, rng):
         """x0 exp(min(E1/alpha, expm1(E2/beta))): log(X/x0) is the minimum of
         an Exp(alpha) draw and a draw with survival (1 + v)^(-beta)."""
@@ -392,13 +341,6 @@ class ExpPoly(TailModel):
     def _elasticity(self, t):
         return self.alpha * t - self.p
 
-    def _inverse(self, u):
-        # a z + q log1p(z / t0) = -log u, solved for v = z / t0
-        out = _solve_log1p(self.alpha * self.t0, -self.p, u)
-        out *= self.t0
-        out += self.t0
-        return out
-
     def sample(self, n, rng):
         """t0 + min(E1/alpha, t0 expm1(E2/(-p))): X - t0 is the minimum of an
         Exp(alpha) draw and a draw with survival (1 + z/t0)^p."""
@@ -440,14 +382,6 @@ class ExpStretched(TailModel):
 
     def _elasticity(self, t):
         return self.alpha * t + self.beta * self.gamma * t**self.gamma
-
-    def _inverse(self, u):
-        # a z + beta ((t0 + z)^gamma - t0^gamma) = -log u, solved for v = z / t0
-        g, t0 = self.gamma, self.t0
-        out = _solve_log1p(self.alpha * t0, self.beta * g * t0**g, u, g)
-        out *= t0
-        out += t0
-        return out
 
     def sample(self, n, rng):
         """min(t0 + E1/alpha, (t0^gamma + E2/beta)^(1/gamma)): the minimum of

@@ -78,8 +78,8 @@ class CoeffLaw:
         if self.dependence == EQUAL:
             object.__setattr__(self, "marginal_b", self.marginal_a)
             object.__setattr__(self, "c_b", 1.0)
-        if self.c_b < 0:
-            raise ValueError("c_b must be >= 0")
+        if not 0.0 <= self.c_b < math.inf:
+            raise ValueError("c_b must be finite and >= 0")
 
     def a_tail(self, t):
         """P[A > t] = p_plus P[W > t], the reference tail for every ratio in
@@ -107,6 +107,8 @@ class MapFamily:
             raise ValueError("sqrt_log requires a third coefficient law C")
         if self.kind != SQRT_LOG and (self.marginal_c is not None or self.c_c != 0.0):
             raise ValueError(f"c, c_c: the coefficient C is for sqrt_log only, not {self.kind}")
+        if not 0.0 <= self.c_c < math.inf:
+            raise ValueError("c_c must be finite and >= 0")
 
 
 def _sqrtlog(x):

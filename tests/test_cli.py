@@ -109,6 +109,11 @@ class TestConfig:
             # only sqrt_log has a third coefficient C
             ("c_b = 1.0", "c_b = 1.0\nc = constant(c=5.0)", "[model] c, c_c", sampling),
             ("c_b = 1.0", "c_b = 1.0\nc_c = 3.0", "[model] c, c_c", sampling),
+            # the tail constants are finite
+            ("c_b = 1.0", "c_b = nan", "[model] c_b", sampling),
+            ("c_b = 1.0", "c_b = inf", "[model] c_b", sampling),
+            ("kind = affine", "kind = sqrt_log\nc = constant(c=5.0)\nc_c = nan", "[model] c_c", sampling),
+            ("kind = affine", "kind = sqrt_log\nc = constant(c=5.0)\nc_c = inf", "[model] c_c", sampling),
         ]
         for grid in (
             "5,3", "nan,2", "2,inf",
@@ -374,6 +379,12 @@ class TestVerify:
         assert code in (EXIT_OK, EXIT_ASSERTION)
         assert len(rows) == 21
 
+    def test_overflowing_functional_is_numeric_failure(self, config_file, capsys):
+        # E[A^400] is infinite and the plug-in f+ overflows: exit 5, no traceback
+        path = config_file(BASE_CONFIG.replace("alpha = 2.0", "alpha = 400"))
+        _simulate(path)
+        assert main(["verify", "--config", path]) == EXIT_NUMERIC
+        assert "numeric failure: plug-in" in capsys.readouterr().err
 
     def test_signed_left_tail(self, config_file, tmp_path):
         text = BASE_CONFIG.replace(

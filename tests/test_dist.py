@@ -14,6 +14,7 @@ from sfpe.dist import (
     LogPareto,
     LogView,
     Pareto,
+    TailModel,
     parse_model,
 )
 
@@ -117,99 +118,20 @@ class TestQuantile:
         assert m.survival(m.quantile(u)) == pytest.approx(u, rel=1e-8)
 
 
-# (alpha, beta, x0): LogPareto(alpha, beta, x0) and ExpPoly(alpha, -beta, x0)
-SOLVER_PARAMS = [
-    (0.5, 5.0, 2.0),
-    (2.0, 40.0, 1.0),
-    (5.0, 1.01, 0.1),
-    (2.0, 3.0, 0.4),
-    (1.2, 1.5, 2.0),
-    (1.0, 2.0, 1.0),
-]
-
-
-def _newton_concave_increasing(g, gprime, w, v0, max_iter=60, tol=1e-15):
-    """Solve g(v) = w elementwise for concave increasing g, starting above the
-    root: the oracle of the quantile solver.  Each element stops at its own
-    first small step."""
-    root = np.array(v0, dtype=float)
-    v, w = root, np.broadcast_to(w, root.shape)
-    active = np.arange(root.size)
-    for _ in range(max_iter):
-        step = (g(v) - w) / gprime(v)
-        v = np.maximum(v - step, 0.0)
-        root[active] = v
-        live = np.abs(step) > tol * (1.0 + np.abs(v))
-        if not live.any():
-            break
-        active, v, w = active[live], v[live], w[live]
-    return root
-
-
-class TestLog1pSolver:
-    """LogPareto, ExpPoly and ExpStretched quantiles solve
-    a v + b phi_g(v) = -log u; the oracle is the generic Newton solver started
-    from w / a."""
-
-    EPS = np.finfo(float).eps
+class TestQuantileRule:
+    """The default `TailModel._inverse`, the quantile of every family without
+    a closed-form inverse: bisection of log_survival_logx above log support_low."""
 
     @staticmethod
     def _u():
         rng = np.random.default_rng(11)
         return np.concatenate([np.logspace(-300.0, 0.0, 601), 1.0 - rng.random(5000)])
 
-    @pytest.mark.parametrize("alpha,beta,x0", SOLVER_PARAMS)
-    def test_log_pareto_matches_oracle(self, alpha, beta, x0):
-        u = self._u()
-        w = -np.log(u)
-        v_ref = _newton_concave_increasing(
-            lambda v: alpha * v + beta * np.log1p(v),
-            lambda v: alpha + beta / (1.0 + v),
-            w,
-            w / alpha,
-        )
-        with np.errstate(over="ignore"):
-            q = LogPareto(alpha, beta, x0).quantile(u)
-            finite = np.isfinite(x0 * np.exp(v_ref))
-        # past exp overflow both give inf
-        np.testing.assert_array_equal(np.isfinite(q), finite)
-        v = np.log(q[finite] / x0)
-        err = np.abs(v - v_ref[finite]) / (self.EPS * (1.0 + v_ref[finite]))
-        assert err.max() <= 4.0
-
-    @pytest.mark.parametrize("alpha,beta,t0", SOLVER_PARAMS)
-    def test_exp_poly_matches_oracle(self, alpha, beta, t0):
-        u = self._u()
-        w = -np.log(u)
-        z_ref = _newton_concave_increasing(
-            lambda z: alpha * z + beta * np.log1p(z / t0),
-            lambda z: alpha + beta / (t0 + z),
-            w,
-            w / alpha,
-        )
-        v = (ExpPoly(alpha, -beta, t0).quantile(u) - t0) / t0
-        v_ref = z_ref / t0
-        assert np.max(np.abs(v - v_ref) / (self.EPS * (1.0 + v_ref))) <= 4.0
-
-    @pytest.mark.parametrize("model", [m for m in ALL_MODELS if isinstance(m, ExpStretched)])
-    def test_exp_stretched_matches_oracle(self, model):
-        a, b, g, t0 = model.alpha, model.beta, model.gamma, model.t0
-        u = self._u()
-        w = -np.log(u)
-        z_ref = _newton_concave_increasing(
-            lambda z: a * z + b * ((t0 + z) ** g - t0**g),
-            lambda z: a + b * g * (t0 + z) ** (g - 1.0),
-            w,
-            w / a,
-        )
-        q_ref = t0 + z_ref
-        assert np.max(np.abs(model.quantile(u) - q_ref) / q_ref) <= 4.0 * self.EPS
-
     @pytest.mark.parametrize("model", [
         LogPareto(2.0, 3.0, 0.4), ExpPoly(1.0, -2.0, 1.0), ExpStretched(1.0, 1.0, 0.5, 1.0),
     ])
     def test_contract(self, model):
-        assert isinstance(model.quantile(0.3), float)
+        assert type(model.quantile(0.3)) is float
         assert model.quantile(1.0) == model.support_low
         u = self._u()
         kept = u.copy()
@@ -222,6 +144,20 @@ class TestLog1pSolver:
             model.quantile(np.array([0.5, 0.0]))
         with pytest.raises(ValueError, match="domain error"):
             model.quantile(1.5)
+        with pytest.raises(ValueError, match="domain error"):
+            model.quantile(np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("model", [
+        Pareto(2.0, 1.0), Pareto(1.2, 0.3), Pareto(5.0, 0.1), Pareto(50.0, 7.0),
+    ])
+    def test_default_rule_matches_pareto_closed_form(self, model):
+        # the bisection on a law with a closed-form inverse, to 10 ulp of
+        # max(1, |log t|) on log t, from u = 1 down to 1e-300
+        u = self._u()
+        log_t = np.log(TailModel._inverse(model, u))
+        ref = np.log(model._inverse(u))
+        ulp = np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(log_t - ref) / ulp) <= 10.0
 
 
 class TestSampling:
@@ -243,8 +179,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_chi_square_fit(self, model):
-        # the bin edges come from `quantile`, a route the minimum-of-two
-        # samplers of the Newton families do not share
+        # the bin edges come from `quantile`, the bisection rule for
+        # LogPareto, ExpPoly and ExpStretched, a route their minimum-of-two
+        # samplers do not share
         from scipy.stats import chisquare
 
         rng = np.random.default_rng(7)
@@ -408,7 +345,7 @@ class TestFamilyContract:
 
     @pytest.mark.parametrize("model", ALL_MODELS + [Constant(1.5)])
     def test_quantile_domain(self, model):
-        for u in (0.0, 1.5, np.array([0.5, 0.0])):
+        for u in (0.0, 1.5, math.nan, np.array([0.5, 0.0])):
             with pytest.raises(ValueError, match="u must be in"):
                 model.quantile(u)
 

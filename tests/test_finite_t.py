@@ -31,15 +31,21 @@ def test_one_step_is_the_b_law():
 
 
 def test_two_equal_steps_match_quadrature():
-    # X_2 = A'(A + 1): P[X_2 > t] = int S_A(t / (a + 1)) dF_A(a), over the
-    # survival scale v = S_A(a), with a kink where t / (a + 1) = x0
+    # X_2 = A'(A + 1): P[X_2 > t] = int S_A(t / (a + 1)) dF_A(a).  Past the
+    # kink a_k = t / x0 - 1 the integrand is 1, which leaves the mass S_A(a_k);
+    # below it, over v = log(a / x0), dF_A has the density S_A(a) e_A(a)
     ts = np.array([1.0, 2.0, 20.0, 1e4, 1e10])
     want = []
     for t in ts:
-        v_kink = float(LP.survival(t / LP.x0 - 1.0))
-        rest, _ = quad(lambda v: float(LP.survival(t / (LP.quantile(v) + 1.0))),
-                       v_kink, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
-        want.append(v_kink + rest)
+        a_kink = t / LP.x0 - 1.0
+
+        def below_kink(v):
+            a = LP.x0 * math.exp(v)
+            return float(LP.survival(t / (a + 1.0)) * LP.survival(a) * LP.elasticity(a))
+
+        rest, _ = quad(below_kink, 0.0, math.log(a_kink / LP.x0),
+                       epsabs=0.0, epsrel=1e-12, limit=200)
+        want.append(float(LP.survival(a_kink)) + rest)
     err = {
         cells: ChainLaw(MODELS["equal"], steps=2, cells=cells).survival(ts) / want - 1.0
         for cells in (23, 46)

@@ -49,6 +49,11 @@ class TestCoeffLaw:
                 CoeffLaw(LP, LP, dep, p_plus=0.5)
         assert CoeffLaw(LP, LP, SIGNED, p_plus=0.5).p_plus == 0.5
 
+    def test_c_b_finite_and_nonnegative(self):
+        for c_b in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_b"):
+                CoeffLaw(LP, LP, INDEPENDENT, c_b=c_b)
+
     def test_reference_tail(self):
         law = CoeffLaw(LP, LP, SIGNED, p_plus=0.75)
         assert law.a_tail(5.0) == pytest.approx(0.75 * LP.survival(5.0))
@@ -67,6 +72,9 @@ class TestMapFamily:
         with pytest.raises(ValueError, match="sqrt_log"):
             MapFamily(SQRT_LOG, law)
         assert MapFamily(SQRT_LOG, law, marginal_c=Constant(5.0), c_c=3.0).c_c == 3.0
+        for c_c in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_c must be"):
+                MapFamily(SQRT_LOG, law, marginal_c=Constant(5.0), c_c=c_c)
 
 
 class TestRealizedMaps:

@@ -127,13 +127,13 @@ CONFIG_KEYS = {
     "sim": {**typing.get_type_hints(engine.SimConfig), "workers": _number(int, 1)},
     "analysis": {
         "regime": _choice({r: r for r in theory.REGIMES}),
-        **{k: float for regime in theory.REGIMES.values() for k in regime.inputs},
+        **{k: _number(float, -math.inf) for r in theory.REGIMES.values() for k in r.inputs},
         "alpha": _number(float, 0.0, open_low=True),
         "tolerance": _number(float, 0.0),
         "side": _choice({"right": +1, "left": -1}),
         "t_grid": _t_grid,
         "checks": _checks,
-        "gamma": float,
+        "gamma": _number(float, -math.inf),
     },
     "output": {"dir": str},
 }

@@ -24,6 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from numpy.random import Generator, Philox
 
 from .dist import Constant, TailModel
 from .maps import (
@@ -98,10 +100,9 @@ class SampleBatch:
     extra: dict = field(default_factory=dict)
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+def _chunk_rng(seed: int, chunk_index: int) -> Generator:
     """Philox stream keyed by (seed, chunk_index), both in [0, 2**64)."""
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
 
 
 def _chunk_ranges(n, chunk_size):
@@ -194,7 +195,7 @@ _TAIL_EPS = 1e-12  # bound on the B mass past the cut of an unbounded interval, 
 @functools.lru_cache(maxsize=None)
 def _gl01(n):
     """n-node Gauss-Legendre rule on [0, 1]; read-only, shared by callers."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

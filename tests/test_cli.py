@@ -1,7 +1,10 @@
 import ast
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,7 +23,9 @@ from sfpe.cli import (
 )
 from sfpe.dist import ExpPoly, LogPareto, TailModel
 
+A_LINE = "a = log_pareto(alpha=2.0, beta=3.0, x0=0.4)"
 B_LINE = "b = log_pareto(alpha=2.0, beta=3.0, x0=0.4)\n"
+EXAMPLE = "regime = example\nmu = 0.5\nsigma = 0.45"
 BASE_CONFIG = """\
 [model]
 kind = affine
@@ -86,6 +91,21 @@ def _config_error(path, commands, named, capsys, *flags):
         assert err.startswith("config error: ") and named in err, (command, err)
 
 
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the lazy numpy submodules a run uses are
+    # loaded at import, in set-up, not in the first stage that draws or smooths
+    code = (
+        "import sys, sfpe.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], "
+        "'numpy.random' in sys.modules and 'numpy.polynomial' in sys.modules)"
+    )
+    path = (str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "True"]
+
+
 class TestConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["predict", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
@@ -114,7 +134,26 @@ class TestConfig:
             ("c_b = 1.0", "c_b = inf", "[model] c_b", sampling),
             ("kind = affine", "kind = sqrt_log\nc = constant(c=5.0)\nc_c = nan", "[model] c_c", sampling),
             ("kind = affine", "kind = sqrt_log\nc = constant(c=5.0)\nc_c = inf", "[model] c_c", sampling),
+            # the regime inputs and gamma are finite
+            (EXAMPLE, "regime = affine\nxi_plus = nan\nmu_plus = 0.5", "[analysis] xi_plus", ("predict",)),
+            (
+                EXAMPLE, "regime = ifs\nmu_plus = 0.3\nmu_minus = nan\nxi_plus = 1.0\nxi_minus = 1.0",
+                "[analysis] mu_minus", ("predict",),
+            ),
+            (EXAMPLE, "regime = kevei\ne_x_alpha = inf\ne_a_alpha = 0.5", "[analysis] e_x_alpha", ("predict",)),
+            ("alpha = 2.0", "alpha = 2.0\nchecks = convex\ngamma = nan", "[analysis] gamma", ("dist-check",)),
         ]
+        # so are the parameters of every family
+        for model in (
+            "pareto(alpha=inf, x0=1.0)",
+            "pareto(alpha=2.0, x0=inf)",
+            "log_pareto(alpha=2.0, beta=inf, x0=0.4)",
+            "exp_poly(alpha=1.0, p=-inf, t0=1.0)",
+            "exp_stretched(alpha=1.0, beta=inf, gamma=0.5, t0=1.0)",
+            "constant(c=nan)",
+            "constant(c=inf)",
+        ):
+            cases.append((A_LINE, f"a = {model}", "[model] a", ("simulate", "dist-check")))
         for grid in (
             "5,3", "nan,2", "2,inf",
             "quantile(lo=-0.5, hi_exceed=300, points=20)",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import expn
 
 from sfpe.dist import (
@@ -42,6 +43,22 @@ class TestConstruction:
             ExpPoly(1.0, -0.5, 1.0)  # p must be < -1
         with pytest.raises(InvalidParameterError):
             ExpStretched(1.0, 1.0, 1.5, 1.0)  # gamma in (0,1)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "pareto(alpha=inf, x0=1.0)",
+            "pareto(alpha=2.0, x0=inf)",
+            "log_pareto(alpha=2.0, beta=inf, x0=0.4)",
+            "exp_poly(alpha=1.0, p=-inf, t0=1.0)",
+            "exp_stretched(alpha=1.0, beta=inf, gamma=0.5, t0=1.0)",
+            "constant(c=nan)",
+            "constant(c=inf)",
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, spec):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            parse_model(spec)
 
 
 class TestSurvival:
@@ -216,8 +233,6 @@ class TestMoments:
         closed = m.alpha_moment(2.0)
         # adaptive quadrature of the defining integral x0^2 + int 2 t S(t) dt,
         # after the substitution v = log(t / x0) which tames the slow tail
-        from scipy.integrate import quad
-
         val, _ = quad(
             lambda v: 2.0 * 0.4**2 * np.exp(2.0 * v) * m.survival(0.4 * np.exp(v)),
             0.0,
@@ -233,6 +248,8 @@ class TestMoments:
         # E[e^X] = e + int_1^inf e^t S(t) dt = e + e * 1 = 2e
         assert m.exp_moment(1.0) == pytest.approx(2.0 * math.e, rel=1e-8)
         assert m.exp_moment(1.5) == math.inf
+        # the moment rule itself, where s t + log S(t) cancels
+        assert TailModel.exp_moment(m, 1.0) == pytest.approx(2.0 * math.e, rel=1e-12)
 
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_exp_poly_exponential_moment_below_alpha(self, s):
@@ -250,6 +267,56 @@ class TestMoments:
     def test_constant_moments(self):
         assert Constant(2.0).alpha_moment(2.0) == 4.0
         assert Constant(2.0).exp_moment(1.0) == pytest.approx(math.exp(2.0))
+
+    @pytest.mark.parametrize(
+        "model, s",
+        [(LogPareto(2.0, 3.0, 0.4), s) for s in (0.5, 1.0, 1.5, 1.9, 1.99)]
+        + [(ExpPoly(1.0, -2.0, 1.0), s) for s in (0.3, 1.0, 2.0)]
+        + [(ExpStretched(1.0, 1.0, 0.5, 1.0), s) for s in (0.3, 1.0, 2.0)]
+        + [(LogPareto(0.5, 1.01, 0.1), 0.25), (LogPareto(5.0, 1.01, 0.1), 2.5)],
+    )
+    def test_power_moment_matches_quad(self, model, s):
+        # t0^s (1 + s int_0^inf e^{s v} S(t0 e^v) dv), v = log(t / t0), by
+        # adaptive quadrature; on the log scale, since t0 e^v overflows at
+        # v = 710, and for LogPareto at s = 1.99 about 2e-10 of the moment lies past it
+        t0 = model.support_low
+        val, _ = quad(
+            lambda v: math.exp(s * v + model.log_survival_logx(math.log(t0) + v)),
+            0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=1000,
+        )
+        assert model.alpha_moment(s) == pytest.approx(t0**s * (1.0 + s * val), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, s",
+        [(ExpPoly(1.0, -2.0, 1.0), s) for s in (0.3, 0.9)]
+        + [(ExpStretched(1.0, 1.0, 0.5, 1.0), s) for s in (0.3, 1.0)]
+        + [(ExpStretched(2.0, 0.3, 0.8, 0.5), s) for s in (1.0, 2.0)],
+    )
+    def test_exponential_moment_matches_quad(self, model, s):
+        # e^{s t0} + s int_0^inf e^{s (t0 + z)} S(t0 + z) dz by adaptive quadrature
+        t0 = model.support_low
+        val, _ = quad(
+            lambda z: math.exp(s * (t0 + z) + model.log_survival(t0 + z)),
+            0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=1000,
+        )
+        assert model.exp_moment(s) == pytest.approx(math.exp(s * t0) + s * val, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, s",
+        [(Pareto(3.0, 1.0), s) for s in (0.0, 0.5, 1.0, 2.0, 2.9)]
+        + [(Pareto(0.7, 0.3), 0.35), (Pareto(2.0, 5.0), 1.5)],
+    )
+    def test_default_power_moment_matches_pareto_closed_form(self, model, s):
+        # the rule itself, on a law whose moments are alpha x0^s / (alpha - s)
+        assert TailModel.alpha_moment(model, s) == pytest.approx(model.alpha_moment(s), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [-1.01, -1.5, -2.0])
+    def test_exp_poly_moment_at_alpha_for_slow_tails(self, p):
+        # e^{alpha t} S(t) = e^{alpha t0} (t/t0)^p, whose tail past 1e13 holds
+        # most of the integral at p = -1.01: the closed form against quadrature
+        m = ExpPoly(1.0, p, 1.0)
+        val, _ = quad(lambda t: t**p, 1.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=1000)
+        assert m.exp_moment(1.0) == pytest.approx(math.e * (1.0 + val), rel=1e-9)
 
 
 class TestLogView:

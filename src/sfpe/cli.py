@@ -373,9 +373,7 @@ def cmd_dist_check(cfg, args):
             rep = theory.salpha_check_convex(scaled, alpha, gamma)
             values = {"sup_dev_final": rep.sup_dev_final}
         elif check == "convolution":
-            rep = theory.convolution_limit_check(
-                scaled, scaled, scaled, 1.0, 1.0, alpha, [20, 40, 80, 160]
-            )
+            rep = theory.convolution_limit_check(scaled, alpha, [20, 40, 80, 160])
             values = {"final_ratio": rep.estimates[-1], "target": rep.target}
         else:  # smallint
             rep = theory.appendix_smallint_diagnostic(scaled, [1, 2, 4], [20, 40, 80, 160])

@@ -1,10 +1,10 @@
 """Closed-form tail constants and numerical checks of their preconditions.
 
-Covers: the regime constants for the affine recursion (B-dominated,
-A-dominated, comparable-tail independent, general one-step functional, signed
-two-sided), the worked two-input example constants, membership-style checks
-for exponential-tilt convolution classes, convolution-limit and
-product-convolution diagnostics, and uniformity of regular variation.
+Every regime constant of the affine recursion solves the one 2x2 system of
+ifs_constants; a one-sided regime is its case mu_- = xi_- = 0, D = xi_+ /
+(1 - mu_+), and the B-dominated regime that case with xi_+ = 1.  The two-input
+example has its own closed form.  Also: exponential-tilt class checks,
+convolution diagnostics and the uniformity of regular variation.
 
 All tail-ratio targets are normalized by a single declared reference tail
 (P[A > t], except the B-dominated regime which uses P[B > t]).
@@ -25,10 +25,6 @@ from .dist import Constant, LogView, TailModel
 __all__ = [
     "Prediction",
     "predictions_to_csv",
-    "grey_constant",
-    "kevei_constant",
-    "affine_constant",
-    "indep_constant",
     "ifs_constants",
     "example_constants",
     "REGIMES",
@@ -64,40 +60,6 @@ def predictions_to_csv(preds) -> str:
 
 # --- regime constants -------------------------------------------------------
 
-def grey_constant(e_a_alpha: float) -> float:
-    """B-tail-dominated regime: P[X>t] ~ P[B>t] / (1 - E[A^alpha])."""
-    if not 0.0 <= e_a_alpha < 1.0:
-        raise PreconditionError("Cramér boundary: need E[A^alpha] in [0, 1)")
-    return 1.0 / (1.0 - e_a_alpha)
-
-
-def kevei_constant(e_x_alpha: float, e_a_alpha: float) -> float:
-    """A-tail-dominated regime: P[X>t] ~ E[X^alpha]/(1-E[A^alpha]) P[A>t]."""
-    if not 0.0 <= e_a_alpha < 1.0:
-        raise PreconditionError("Cramér boundary: need E[A^alpha] in [0, 1)")
-    if e_x_alpha < 0.0:
-        raise PreconditionError("E[X^alpha] must be >= 0")
-    return e_x_alpha / (1.0 - e_a_alpha)
-
-
-def affine_constant(xi_plus: float, mu_plus: float) -> float:
-    """General one-step functional: P[X>t] ~ xi_+/(1-mu_+) P[A>t]; the left
-    tail uses xi_- in the numerator."""
-    if not 0.0 <= mu_plus < 1.0:
-        raise PreconditionError("need mu_+ in [0, 1)")
-    return xi_plus / (1.0 - mu_plus)
-
-
-def indep_constant(e_xplus_alpha: float, c_b: float, e_a_alpha: float) -> float:
-    """Independent comparable-tail regime:
-    P[X>t] ~ (E[X_+^alpha] + c_B)/(1 - E[A^alpha]) P[A>t]."""
-    if not 0.0 <= e_a_alpha < 1.0:
-        raise PreconditionError("Cramér boundary: need E[A^alpha] in [0, 1)")
-    if e_xplus_alpha < 0.0 or c_b < 0.0:
-        raise PreconditionError("moments must be >= 0")
-    return (e_xplus_alpha + c_b) / (1.0 - e_a_alpha)
-
-
 def ifs_constants(mu_plus, mu_minus, xi_plus, xi_minus):
     """Two-sided constants (D+, D-) solving
     D+ = mu_+ D+ + mu_- D- + xi_+, D- = mu_+ D- + mu_- D+ + xi_-.
@@ -106,6 +68,8 @@ def ifs_constants(mu_plus, mu_minus, xi_plus, xi_minus):
     linear solve to 1e-12 relative."""
     if mu_plus < 0.0 or mu_minus < 0.0:
         raise PreconditionError("mu_+ and mu_- must be >= 0")
+    if xi_plus < 0.0 or xi_minus < 0.0:
+        raise PreconditionError("xi_+ and xi_- must be >= 0")
     if mu_plus + mu_minus >= 1.0:
         raise PreconditionError("contraction violated: mu_+ + mu_- >= 1")
     det = (1.0 - mu_plus - mu_minus) * (1.0 - mu_plus + mu_minus)
@@ -139,17 +103,18 @@ def example_constants(mu: float, sigma: float):
 
 
 class Regime(NamedTuple):
-    constants: Callable  # inputs -> one constant, or a tuple of them
+    constants: Callable  # inputs -> a tuple of constants
     inputs: tuple  # names of the inputs, in call order
     reference: str  # "A" or "B", see Prediction
-    labels: tuple | None = None  # one row label per constant, if a tuple
+    labels: tuple  # one row label per constant
 
 
 REGIMES = {
-    "grey": Regime(grey_constant, ("e_a_alpha",), "B"),
-    "kevei": Regime(kevei_constant, ("e_x_alpha", "e_a_alpha"), "A"),
-    "affine": Regime(affine_constant, ("xi_plus", "mu_plus"), "A"),
-    "indep": Regime(indep_constant, ("e_xplus_alpha", "c_b", "e_a_alpha"), "A"),
+    # P[X > t] ~ P[B > t] / (1 - E[A^alpha]): the one-step functional is B's tail
+    "grey": Regime(
+        lambda e_a_alpha: ifs_constants(e_a_alpha, 0.0, 1.0, 0.0)[:1],
+        ("e_a_alpha",), "B", ("grey",),
+    ),
     "ifs": Regime(
         ifs_constants, ("mu_plus", "mu_minus", "xi_plus", "xi_minus"), "A",
         ("ifs_right", "ifs_left"),
@@ -161,20 +126,16 @@ REGIMES = {
 
 
 def predict(regime: str, **inputs):
-    """Build Prediction rows for a named regime of REGIMES; `ifs` and
-    `example` yield two rows (right/left tails resp. the two dependence
+    """Build one Prediction row per label of a named regime of REGIMES: `ifs`
+    and `example` yield two (right/left tails resp. the two dependence
     structures)."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     spec = REGIMES[regime]
-    args = [inputs[k] for k in spec.inputs]
-    inp = dict(zip(spec.inputs, args))
-    value = spec.constants(*args)
-    if spec.labels is None:
-        return [Prediction(regime, value, spec.reference, inp)]
+    inp = {k: inputs[k] for k in spec.inputs}
     return [
         Prediction(label, v, spec.reference, inp)
-        for label, v in zip(spec.labels, value)
+        for label, v in zip(spec.labels, spec.constants(*inp.values()))
     ]
 
 
@@ -209,15 +170,16 @@ class DomReport:
         return self.pass_shift and self.pass_doubling and self.pass_integral
 
 
-def salpha_check_dom(log_tail, alpha: float, x_max: float = 1e6) -> DomReport:
-    """Numeric membership check via the tilted tail K(t) = e^{alpha t} S(t):
+def salpha_check_dom(log_tail, alpha: float) -> DomReport:
+    """Numeric membership check via the tilted tail K(t) = e^{alpha t} S(t)
+    on 25 points x up to 1e6:
     (i) K(x-y)/K(x) -> 1 for y in {1, 2} (deviation < 2% at the largest x),
     (ii) K(2x)/K(x) bounded away from 0 at large x,
     (iii) the integral of K converges (relative increment of the last
     doubling below 1%)."""
     k, lk = _tilted(log_tail, alpha)
     low = log_tail.support_low
-    xs = np.geomspace(max(low, 1.0) * 4.0, x_max, 25)
+    xs = np.geomspace(max(low, 1.0) * 4.0, 1e6, 25)
     pass_shift = all(
         np.abs(np.exp(lk(xs - y) - lk(xs)) - 1.0)[-1] < 0.02 for y in (1.0, 2.0)
     )
@@ -343,20 +305,16 @@ def _trend_ok(estimates, target):
     return bool(np.all(np.diff(tail_part) <= 1e-12 + 1e-9 * np.abs(tail_part[:-1])))
 
 
-def convolution_limit_check(
-    g1, g2, f_ref, k1: float, k2: float, alpha: float, t_list, tol: float = 0.05
-) -> TrajectoryReport:
-    """Ratio of the two-fold convolution tail to a reference tail against the
-    limit k1 m_alpha(G2) + k2 m_alpha(G1)."""
-    m1 = g1.exp_moment(alpha)
-    m2 = g2.exp_moment(alpha)
-    for name, m in (("G1", m1), ("G2", m2)):
-        if not math.isfinite(m):
-            raise PreconditionError(f"exponential moment of {name} is not finite")
-    target = k1 * m2 + k2 * m1
+def convolution_limit_check(model, alpha: float, t_list, tol: float = 0.05) -> TrajectoryReport:
+    """Ratio of the two-fold convolution tail of model to its own tail against
+    the limit 2 m_alpha(F)."""
+    m = model.exp_moment(alpha)
+    if not math.isfinite(m):
+        raise PreconditionError("exponential moment is not finite")
+    target = 2.0 * m
     t_list = np.asarray(t_list, dtype=float)
     est = np.array(
-        [convolution_tail(g1, g2, t) / float(f_ref.survival(t)) for t in t_list]
+        [convolution_tail(model, model, t) / float(model.survival(t)) for t in t_list]
     )
     final_ok = abs(est[-1] - target) <= tol * target
     return TrajectoryReport(est, target, final_ok, _trend_ok(est, target))
@@ -408,7 +366,7 @@ def product_convolution_check(
     if isinstance(a_model, Constant):
         raise PreconditionError("point mass is not regularly varying")
     lv = LogView(a_model)
-    return convolution_limit_check(lv, lv, lv, 1.0, 1.0, alpha, np.log(t_list), tol)
+    return convolution_limit_check(lv, alpha, np.log(t_list), tol)
 
 
 @dataclass(frozen=True)

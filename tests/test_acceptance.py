@@ -56,6 +56,7 @@ INDEP = CoeffLaw(LP, LP, INDEPENDENT, c_b=1.0)
 INDEP_CFG = SimConfig(n_samples=N_BIG, seed=101)
 EQUAL_CFG = SimConfig(n_samples=N_BIG, seed=202)
 T_LIMIT = 1e12  # deep-tail level at which the exact ratio is held against D
+WORKERS = 2  # for the 1e7-sample chains; no output depends on it (criterion 9)
 
 
 def report(capsys, num, name, clauses, detail=""):
@@ -122,7 +123,7 @@ def detail_line(label, curve, final, law, predicted, side=+1):
 def indep_run():
     fam = MapFamily(AFFINE, INDEP)
     t0 = time.perf_counter()
-    batch = sample_stationary_chain(fam, INDEP_CFG)
+    batch = sample_stationary_chain(fam, INDEP_CFG, workers=WORKERS)
     est, curve, final = ratio_with_reliability(batch, fam.coeff, fam.kind)
     return est, curve, final, time.perf_counter() - t0
 
@@ -130,7 +131,7 @@ def indep_run():
 @pytest.fixture(scope="module")
 def equal_run():
     fam = MapFamily(AFFINE, CoeffLaw(LP, LP, EQUAL))
-    batch = sample_stationary_chain(fam, EQUAL_CFG)
+    batch = sample_stationary_chain(fam, EQUAL_CFG, workers=WORKERS)
     return ratio_with_reliability(batch, fam.coeff, fam.kind)
 
 
@@ -161,14 +162,14 @@ def test_closed_form_constants_layer(capsys):
         scale = max(abs(sp), abs(sm), 1e-300)
         worst = max(worst, abs(dp - sp) / scale, abs(dm - sm) / scale)
 
-    # regime coherence: each more general constant reduces to the simpler one
-    coh1 = theory.indep_constant(2.7, 0.0, 0.32) == theory.kevei_constant(2.7, 0.32)
+    # regime coherence: with mu_- = xi_- = 0 the system gives the one-sided
+    # constant xi / (1 - mu) of each single regime
+    dp, _ = theory.ifs_constants(0.32, 0.0, 2.7 + 0.0, 0.0)
+    coh1 = abs(dp - 2.7 / (1.0 - 0.32)) <= 1e-15 * dp
     dp, dm = theory.ifs_constants(0.4, 0.0, 2.0, 0.0)
-    coh2 = (
-        abs(dp - theory.affine_constant(2.0, 0.4)) <= 1e-15 * dp and dm == 0.0
-    )
+    coh2 = abs(dp - 2.0 / (1.0 - 0.4)) <= 1e-15 * dp and dm == 0.0
     dp, _ = theory.ifs_constants(0.32, 0.0, 2.5 + 1.0, 0.0)
-    coh3 = abs(dp - theory.indep_constant(2.5, 1.0, 0.32)) <= 1e-15 * dp
+    coh3 = abs(dp - (2.5 + 1.0) / (1.0 - 0.32)) <= 1e-15 * dp
     elapsed = time.perf_counter() - t0
     report(capsys, 1, "closed-form constants", {
         "linear-solve agreement to 1e-12 on 1e4 inputs": worst <= 1e-12,
@@ -187,7 +188,7 @@ def test_independent_coefficients_ratio(capsys, indep_run, indep_law):
     predicted = (ex2 + 1.0) / (1.0 - SIGMA)
     clauses = ratio_clauses(est, curve, final, indep_law.ratio(curve.t_grid), 0.20)
     clauses.update(limit_clauses(indep_law, curve.t_grid[final], predicted, 0.20))
-    clauses["runtime <= 10 min single worker"] = elapsed <= 600.0
+    clauses[f"runtime <= 10 min on {WORKERS} workers"] = elapsed <= 600.0
     report(capsys, 2, "independent-coefficient tail constant", clauses,
            detail_line("independent", curve, final, indep_law, predicted))
 
@@ -223,7 +224,7 @@ def test_constant_b_ratio(capsys):
     # criterion 4: X = AX + 1; the B tail contributes nothing
     fam = MapFamily(AFFINE, CoeffLaw(LP, Constant(1.0), INDEPENDENT))
     cfg = SimConfig(n_samples=N_BIG, seed=303)
-    batch = sample_stationary_chain(fam, cfg)
+    batch = sample_stationary_chain(fam, cfg, workers=WORKERS)
     est, curve, final = ratio_with_reliability(batch, fam.coeff, fam.kind)
     law = chain_law(fam.coeff, cfg)
     ex2 = ((1.0 + MU) / (1.0 - MU)) / (1.0 - SIGMA)
@@ -238,7 +239,7 @@ def test_signed_coefficient_two_sided_ratio(capsys):
     # criterion 5: A = eps*W with P[eps=+1] = 0.75; both tails of X
     fam = MapFamily(AFFINE, CoeffLaw(LP, LP, SIGNED, p_plus=0.75, c_b=1.0))
     cfg = SimConfig(n_samples=N_BIG, seed=404)
-    batch = sample_stationary_chain(fam, cfg)
+    batch = sample_stationary_chain(fam, cfg, workers=WORKERS)
     mu_p, mu_m = 0.75 * SIGMA, 0.25 * SIGMA
     xi_p, _ = tailstats.plugin_moment(batch, lambda y: f_plus(fam, y, 2.0))
     xi_m, _ = tailstats.plugin_moment(batch, lambda y: f_minus(fam, y, 2.0))
@@ -294,7 +295,7 @@ def test_convolution_limit_layer(capsys):
     # criterion 7: two-fold convolution tail against 2 m_alpha(F)
     t0 = time.perf_counter()
     ep = ExpPoly(1.0, -2.0, 1.0)
-    rep = theory.convolution_limit_check(ep, ep, ep, 1.0, 1.0, 1.0, [20, 40, 80, 160])
+    rep = theory.convolution_limit_check(ep, 1.0, [20, 40, 80, 160])
     v_monotone = theory.appendix_smallint_diagnostic(
         ep, [1.0, 2.0, 4.0], [80.0, 160.0, 320.0, 640.0]
     ).v_monotone

@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import math
 import os
 import re
@@ -19,6 +19,7 @@ from sfpe.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PRECONDITION,
+    ExperimentConfig,
     main,
 )
 from sfpe.dist import ExpPoly, LogPareto, TailModel
@@ -135,12 +136,15 @@ class TestConfig:
             ("kind = affine", "kind = sqrt_log\nc = constant(c=5.0)\nc_c = nan", "[model] c_c", sampling),
             ("kind = affine", "kind = sqrt_log\nc = constant(c=5.0)\nc_c = inf", "[model] c_c", sampling),
             # the regime inputs and gamma are finite
-            (EXAMPLE, "regime = affine\nxi_plus = nan\nmu_plus = 0.5", "[analysis] xi_plus", ("predict",)),
+            (
+                EXAMPLE, "regime = ifs\nmu_plus = 0.5\nmu_minus = 0\nxi_plus = nan\nxi_minus = 0",
+                "[analysis] xi_plus", ("predict",),
+            ),
             (
                 EXAMPLE, "regime = ifs\nmu_plus = 0.3\nmu_minus = nan\nxi_plus = 1.0\nxi_minus = 1.0",
                 "[analysis] mu_minus", ("predict",),
             ),
-            (EXAMPLE, "regime = kevei\ne_x_alpha = inf\ne_a_alpha = 0.5", "[analysis] e_x_alpha", ("predict",)),
+            (EXAMPLE, "regime = grey\ne_a_alpha = inf", "[analysis] e_a_alpha", ("predict",)),
             ("alpha = 2.0", "alpha = 2.0\nchecks = convex\ngamma = nan", "[analysis] gamma", ("dist-check",)),
         ]
         # so are the parameters of every family
@@ -183,6 +187,10 @@ class TestConfig:
             ("c_b = 1.0", "c_b = 1.0\nb_lower = 0.5", "[model] b_lower"),
             # the product check draws nothing: it is the convolution kernel on log A
             ("alpha = 2.0", "alpha = 2.0\nn_products = 1000000", "[analysis] n_products"),
+            # inputs of the kevei and indep regimes, now ifs inputs
+            ("sigma = 0.45", "sigma = 0.45\ne_x_alpha = 1.0", "[analysis] e_x_alpha"),
+            ("sigma = 0.45", "sigma = 0.45\ne_xplus_alpha = 1.0", "[analysis] e_xplus_alpha"),
+            ("sigma = 0.45", "sigma = 0.45\nc_b = 1.0", "[analysis] c_b"),
         ],
     )
     def test_unknown_key_is_config_error(self, config_file, capsys, no_sampling, old, new, named):
@@ -220,6 +228,25 @@ class TestBenchmarkNames:
             assert callable(getattr(TailModel, name, None)), f"TailModel.{name}"
 
 
+class TestBenchmarkConfigs:
+    def test_configs_read_and_predict(self, tmp_path):
+        # perfbench/models.py runs these configs through the CLI; a regime or
+        # key removed from CONFIG_KEYS should fail here, not in the benchmark
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_models", Path(__file__).parents[1] / "perfbench" / "models.py"
+        )
+        models = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(models)
+        for name in ("CLI_CONFIG", "CLI_EXP_POLY_CONFIG"):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(
+                getattr(models, name).format(n=1000, seed=1, workers=1, out=tmp_path / "out")
+            )
+            ExperimentConfig(str(path))
+        assert main(["predict", "--config", str(tmp_path / "CLI_CONFIG.cfg")]) == EXIT_OK
+        assert (tmp_path / "out" / "predictions.csv").is_file()
+
+
 class TestPredict:
     def test_example_regime(self, config_file, tmp_path, capsys):
         assert main(["predict", "--config", config_file()]) == EXIT_OK
@@ -239,17 +266,33 @@ class TestPredict:
         assert float(rows[2].split(",")[1]) == pytest.approx(0.2 / 0.45)
 
     def test_affine_regime(self, config_file, tmp_path):
+        # a one-sided constant xi_+ / (1 - mu_+) is the ifs regime with mu_- = xi_- = 0
         text = BASE_CONFIG.replace(
-            "regime = example\nmu = 0.5\nsigma = 0.45",
-            "regime = affine\nxi_plus = 2\nmu_plus = 0.5",
+            EXAMPLE, "regime = ifs\nxi_plus = 2\nmu_plus = 0.5\nmu_minus = 0\nxi_minus = 0"
         )
         assert main(["predict", "--config", config_file(text)]) == EXIT_OK
         rows = (tmp_path / "out" / "predictions.csv").read_text().strip().split("\n")
-        assert float(rows[1].split(",")[1]) == 4.0
+        assert [float(row.split(",")[1]) for row in rows[1:]] == [4.0, 0.0]
 
-    def test_unknown_regime(self, config_file):
-        text = BASE_CONFIG.replace("regime = example", "regime = kesten")
-        assert main(["predict", "--config", config_file(text)]) == EXIT_CONFIG
+    def test_grey_regime(self, config_file, tmp_path):
+        text = BASE_CONFIG.replace(EXAMPLE, "regime = grey\ne_a_alpha = 0.5")
+        assert main(["predict", "--config", config_file(text)]) == EXIT_OK
+        rows = (tmp_path / "out" / "predictions.csv").read_text().strip().split("\n")
+        assert rows[1].split(",")[:3] == ["grey", "2.0", "B"]
+
+    def test_negative_functional_is_precondition(self, config_file, tmp_path, capsys):
+        text = BASE_CONFIG.replace(
+            EXAMPLE, "regime = ifs\nmu_plus = 0.3\nmu_minus = 0.2\nxi_plus = -1.0\nxi_minus = 0"
+        )
+        assert main(["predict", "--config", config_file(text)]) == EXIT_PRECONDITION
+        assert "xi_+ and xi_- must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    def test_unknown_regime(self, config_file, capsys):
+        # kevei, affine and indep are the ifs regime with mu_- = xi_- = 0
+        for regime in ("kesten", "kevei", "affine", "indep"):
+            text = BASE_CONFIG.replace("regime = example", f"regime = {regime}")
+            _config_error(config_file(text), ("predict",), "[analysis] regime", capsys)
 
 
 class TestSimulate:

@@ -7,17 +7,14 @@ from scipy.integrate import quad
 
 from sfpe.dist import Constant, ExpPoly, ExpStretched, LogPareto, LogView, Pareto
 from sfpe.theory import (
+    REGIMES,
     PreconditionError,
     Prediction,
-    affine_constant,
     appendix_smallint_diagnostic,
     convolution_limit_check,
     convolution_tail,
     example_constants,
-    grey_constant,
     ifs_constants,
-    indep_constant,
-    kevei_constant,
     predict,
     predictions_to_csv,
     product_convolution_check,
@@ -27,31 +24,50 @@ from sfpe.theory import (
 )
 
 
+def _one_sided(xi, mu):
+    """D+ of a one-sided regime: the ifs system with mu_- = xi_- = 0."""
+    d_plus, d_minus = ifs_constants(mu, 0.0, xi, 0.0)
+    assert d_minus == 0.0
+    return d_plus
+
+
 class TestRegimeConstants:
+    # each single-regime constant of the affine recursion is xi / (1 - mu)
+
+    def test_regime_table(self):
+        assert set(REGIMES) == {"grey", "ifs", "example"}
+        for spec in REGIMES.values():
+            assert len(spec.labels) == len(spec.constants(*[0.25] * len(spec.inputs)))
+
     def test_grey(self):
-        assert grey_constant(0.5) == 2.0
-        assert grey_constant(0.0) == 1.0
-        assert grey_constant(0.32) == pytest.approx(1.4705882352941178)
-        with pytest.raises(PreconditionError, match="Cram"):
-            grey_constant(1.0)
+        # B-dominated: xi_+ = 1 against the tail of B
+        def grey(e_a_alpha):
+            (row,) = predict("grey", e_a_alpha=e_a_alpha)
+            assert (row.regime, row.reference) == ("grey", "B")
+            return row.constant
+
+        assert grey(0.5) == 2.0
+        assert grey(0.0) == 1.0
+        assert grey(0.32) == pytest.approx(1.4705882352941178)
+        with pytest.raises(PreconditionError, match="contraction"):
+            grey(1.0)
 
     def test_kevei(self):
-        assert kevei_constant(0.0, 0.5) == 0.0
-        assert kevei_constant(3.0, 0.32) == pytest.approx(4.411764705882353)
-        assert kevei_constant(1.0, 0.0) == 1.0
+        # A-dominated: mu_+ = E[A^alpha], xi_+ = E[X^alpha]
+        assert _one_sided(0.0, 0.5) == 0.0
+        assert _one_sided(3.0, 0.32) == pytest.approx(4.411764705882353)
+        assert _one_sided(1.0, 0.0) == 1.0
 
     def test_affine(self):
-        assert affine_constant(2.0, 0.5) == 4.0
-        assert affine_constant(0.0, 0.9) == 0.0
+        assert _one_sided(2.0, 0.5) == 4.0
+        assert _one_sided(0.0, 0.9) == 0.0
         with pytest.raises(PreconditionError):
-            affine_constant(1.0, 1.0)
+            _one_sided(1.0, 1.0)
 
     def test_indep(self):
-        assert indep_constant(3.0, 1.0, 0.32) == pytest.approx(5.882352941176471)
-        assert indep_constant(0.0, 0.0, 0.5) == 0.0
-
-    def test_indep_reduces_to_kevei_when_cb_zero(self):
-        assert indep_constant(2.7, 0.0, 0.32) == kevei_constant(2.7, 0.32)
+        # independent comparable tails: xi_+ = E[X_+^alpha] + c_B
+        assert _one_sided(3.0 + 1.0, 0.32) == pytest.approx(5.882352941176471)
+        assert _one_sided(0.0 + 0.0, 0.5) == 0.0
 
 
 class TestIfsConstants:
@@ -62,7 +78,7 @@ class TestIfsConstants:
 
     def test_decouples_without_negative_part(self):
         dp, dm = ifs_constants(0.4, 0.0, 2.0, 0.0)
-        assert dp == pytest.approx(affine_constant(2.0, 0.4))
+        assert dp == pytest.approx(2.0 / (1.0 - 0.4))
         assert dm == 0.0
 
     def test_symmetric_inputs(self):
@@ -73,6 +89,12 @@ class TestIfsConstants:
     def test_contraction_required(self):
         with pytest.raises(PreconditionError, match="contraction"):
             ifs_constants(0.6, 0.4, 1.0, 1.0)
+
+    def test_negative_functional_rejected(self):
+        # a one-step functional is the alpha-moment of a positive part
+        for xi_p, xi_m in ((-1.0, 0.0), (0.0, -1.0), (-1e-300, 1.0)):
+            with pytest.raises(PreconditionError, match="xi_"):
+                ifs_constants(0.3, 0.2, xi_p, xi_m)
 
     def test_agrees_with_linear_solve_on_random_inputs(self):
         rng = np.random.default_rng(0)
@@ -89,7 +111,7 @@ class TestIfsConstants:
         # mu_- = 0 and xi_+ = E[X_+^alpha] + c_B gives the independent regime
         ex, cb, ea = 2.5, 1.0, 0.32
         dp, _ = ifs_constants(ea, 0.0, ex + cb, 0.0)
-        assert dp == pytest.approx(indep_constant(ex, cb, ea))
+        assert dp == pytest.approx((ex + cb) / (1.0 - ea), rel=1e-15)
 
 
 class TestExampleConstants:
@@ -213,37 +235,14 @@ class TestConvolution:
 
     def test_two_fold_limit(self):
         ep = ExpPoly(1.0, -2.0, 1.0)
-        rep = convolution_limit_check(ep, ep, ep, 1.0, 1.0, 1.0, [20, 40, 80, 160])
+        rep = convolution_limit_check(ep, 1.0, [20, 40, 80, 160])
         assert rep.target == pytest.approx(2.0 * ep.exp_moment(1.0), rel=1e-9)
         assert rep.passed
-
-    def test_shifted_copy_updates_target(self):
-        # G2(t) = F(t - c) has m_alpha(G2) = e^{alpha c} m_alpha(F)
-        ep = ExpPoly(1.0, -2.0, 1.0)
-
-        class Shifted:
-            support_low = ep.support_low + 0.5
-
-            @staticmethod
-            def survival(t):
-                return ep.survival(np.asarray(t, float) - 0.5)
-
-            @staticmethod
-            def exp_moment(s):
-                return math.exp(s * 0.5) * ep.exp_moment(s)
-
-        rep = convolution_limit_check(
-            ep, Shifted(), ep, 1.0, math.exp(1.0 * 0.5), 1.0, [20, 40, 80, 160]
-        )
-        assert rep.target == pytest.approx(
-            math.exp(0.5) * 2.0 * ep.exp_moment(1.0), rel=1e-9
-        )
-        assert abs(rep.estimates[-1] - rep.target) <= 0.05 * rep.target
 
     def test_infinite_moment_rejected(self):
         ep = ExpPoly(1.0, -2.0, 1.0)
         with pytest.raises(PreconditionError, match="not finite"):
-            convolution_limit_check(ep, ep, ep, 1.0, 1.0, 2.0, [20.0])
+            convolution_limit_check(ep, 2.0, [20.0])
 
 
 class TestSmallIntegral:

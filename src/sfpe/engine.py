@@ -8,9 +8,9 @@ rule on one grid per batch: the weights are built once per batch, and each
 level evaluates the one-step tail on the grid's nodes alone, never on the
 samples.  The one-step tail of the affine map is a Gauss-Legendre quadrature
 over log B with the closed-form B density S_B e_B (`TailModel.elasticity`),
-so smoothing calls no quantile.  Sampling is chunked; each chunk owns a
-counter-based Philox stream keyed by (seed, chunk_index), so results are
-bit-identical for any worker count.
+so smoothing calls no quantile.  Sampling is chunked; each chunk owns an
+SFC64 stream seeded by SeedSequence(seed, spawn_key=(chunk_index,)), so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .dist import Constant, TailModel
 from .maps import (
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SFPB"
-_VERSION = 1
+_VERSION = 2  # 1: batches drawn from Philox streams
 
 CHAIN = "chain"
 PERPETUITY = "perpetuity"
@@ -79,7 +79,7 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if not 0 <= self.seed < 2**64:  # the seed keys every Philox stream
+        if not 0 <= self.seed < 2**64:  # the seed keys every random stream
             raise ValueError("seed must be in [0, 2**64)")
         if self.burn_in < 1:
             raise ValueError("burn_in must be >= 1")
@@ -101,8 +101,15 @@ class SampleBatch:
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> Generator:
-    """Philox stream keyed by (seed, chunk_index), both in [0, 2**64)."""
-    return Generator(Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+    """SFC64 stream keyed by (seed, chunk_index), both in [0, 2**64).
+
+    SeedSequence hashes the seed, padded to a fixed 128-bit pool, with the
+    chunk index as its spawn key, so distinct (seed, chunk_index) pairs give
+    distinct streams with overwhelming probability (not by construction, as
+    a counter-based key would).  The list form SeedSequence([seed, chunk])
+    is not used: it joins variable-length 32-bit words, so (2**32, 5) and
+    (0, 1 + 5 * 2**32) would share a stream."""
+    return Generator(SFC64(SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 def _chunk_ranges(n, chunk_size):

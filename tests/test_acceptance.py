@@ -19,11 +19,11 @@ from D, so criteria 2-5 check two things separately:
 Measured at the final reliable point (MC ratio with 95% CI, exact ratio at
 the same t, exact ratio at t = 1e12, D):
 
-  crit 2, independent  t = 14.5   3.771 [3.625, 3.916]   3.859   3.500   3.422
-  crit 3, equal        t = 22.8   11.42 [10.86, 11.98]   10.76   7.498   6.835
-  crit 4, constant B   t = 23.3   12.14 [11.62, 12.67]   12.07   7.498   6.835
-  crit 5, right tail   t = 11.2   2.832 [2.756, 2.909]   2.923   2.820   2.779
-  crit 5, left tail    t = 5.58   0.381 [0.368, 0.394]   0.395   0.651   0.627
+  crit 2, independent  t = 14.5   3.95 [3.776, 4.123]       3.858    3.500    3.422
+  crit 3, equal        t = 21.6   10.94 [10.48, 11.40]      10.81    7.498    6.835
+  crit 4, constant B   t = 22.0   12.15 [11.66, 12.64]      12.22    7.498    6.835
+  crit 5, right tail   t = 12.2   2.958 [2.853, 3.064]      2.903    2.820    2.793
+  crit 5, left tail    t = 5.52   0.3952 [0.3819, 0.4084]   0.3935   0.6506   0.6338
 """
 
 import time

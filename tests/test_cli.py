@@ -447,6 +447,18 @@ class TestBatchFile:
         assert main(["estimate", "--config", path]) == EXIT_NUMERIC
         assert "batch.bin.cfg" in capsys.readouterr().err
 
+    def test_batch_of_old_streams_is_numeric_failure(self, config_file, tmp_path, capsys):
+        # a version-1 batch was drawn from Philox streams, not the ones its seed keys now
+        path = config_file()
+        _simulate(path)
+        batch = tmp_path / "out" / "batch.bin"
+        raw = bytearray(batch.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")
+        batch.write_bytes(bytes(raw))
+        for command in ("estimate", "verify"):
+            assert main([command, "--config", path]) == EXIT_NUMERIC, command
+            assert "unsupported batch version 1" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_report_and_exit_code(self, config_file, tmp_path, monkeypatch):

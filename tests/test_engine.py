@@ -66,11 +66,13 @@ class TestSimConfig:
     def test_seeds_give_distinct_streams(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = [
-                engine._chunk_rng(seed, 0).random()
-                for seed in (0, 1, 2**63, 2**64 - 1)
-            ]
-        assert len(set(draws)) == 4
+            keys = [(seed, 0) for seed in (0, 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1)]
+            # words of a list-form SeedSequence key: both are [0, 1, 5]
+            keys += [(2**32, 5), (0, 1 + 5 * 2**32)]
+            # the stability precheck's stream against the first chunk's
+            keys += [(7, 2**63), (7, 0)]
+            draws = [engine._chunk_rng(seed, chunk).random() for seed, chunk in keys]
+        assert len(set(draws)) == len(keys)
 
 
 class TestChain:
@@ -618,7 +620,7 @@ class TestPersistence:
         raw = path.read_bytes()
         assert len(raw) == 16 + 2 * 8
         assert raw[:4] == b"SFPB"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == 2
         assert int.from_bytes(raw[8:16], "little") == 2
 
     @pytest.mark.parametrize("keep", [-8, 10], ids=["body", "header"])

@@ -145,18 +145,36 @@ class TestPluginMoment:
         assert se == pytest.approx(x.std(ddof=1) / math.sqrt(x.size), rel=1e-10)
 
     def test_one_step_functional_matches_moment_identity(self):
-        # xi_+ for the independent affine family equals E[X^2] + c_B with
-        # E[X^2] = (2 E[A]^2 E[X] + E[B^2]) / (1 - E[A^2])
-        from sfpe.engine import sample_stationary_chain
+        # xi_+ for the independent affine family is E[f_+(X)] = E[X^2] + c_B
+        # with E[X^2] = (2 E[A]^2 E[X] + E[B^2]) / (1 - E[A^2]).  X^2 has
+        # infinite variance, so a plug-in mean has no usable standard error:
+        # f_+ is checked pointwise, and E[X^2] on the exact law of the chain
+        from finite_t import ChainLaw
         from sfpe.maps import f_plus
 
         lp = LogPareto(2.0, 3.0, 0.4)
-        fam = MapFamily(AFFINE, CoeffLaw(lp, lp, INDEPENDENT, c_b=1.0))
-        batch = sample_stationary_chain(fam, SimConfig(n_samples=600_000, seed=13))
+        coeff = CoeffLaw(lp, lp, INDEPENDENT, c_b=1.0)
+        y = np.array([-3.0, -0.5, 0.0, 0.25, 1.0, 7.0, 1e6])
+        np.testing.assert_array_equal(
+            f_plus(MapFamily(AFFINE, coeff), y, 2.0), np.maximum(y, 0.0) ** 2 + 1.0
+        )
         mu = lp.alpha_moment(1.0)
         ex2 = (2 * mu**2 * (mu / (1 - mu)) + 0.32) / (1 - 0.32)
-        mean, se = plugin_moment(batch, lambda y: f_plus(fam, y, 2.0))
-        assert abs(mean - (ex2 + 1.0)) <= 4 * se
+        # E[X^2] = int 2t P[X > t] dt: P[X > t] = 1 below the support edge,
+        # and t^2 P[X > t] = F is log-linear in log t between knots, so a cell
+        # gives 2 log(t1/t0) times the logarithmic mean of F0 and F1
+        law = ChainLaw(coeff, steps=16)
+        low = law.right.low
+        t = np.concatenate([[low], law.grid.t[law.grid.t > low]])
+        f = t**2 * law.survival(t)
+        r = np.log(f[1:] / f[:-1])
+        log_mean = np.where(r != 0, np.diff(f) / np.where(r != 0, r, 1.0), f[:-1])
+        body = low**2 + np.sum(2 * np.diff(np.log(t)) * log_mean)
+        # above the grid P[X > t] = D P[A > t], D the ratio at the top, and
+        # int_T^inf 2t P[A > t] dt = x0^2 (1 + log(T/x0))^-2 for this A
+        top = t[-1]
+        above = law.ratio(top)[0] * lp.x0**2 * (1 + math.log(top / lp.x0)) ** -2
+        assert body + above == pytest.approx(ex2, rel=1e-3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

@@ -106,8 +106,8 @@ def _t_grid(text):
         rule = parse_spec(text, _GRID_RULES, "t_grid rule")[1]
         return lambda batch, side: tailstats.default_grid(batch, side=side, **rule)
     grid = np.array([float(x) for x in text.split(",")])
-    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
-        raise ValueError("levels must be finite and strictly increasing")
+    if not (np.all(np.isfinite(grid)) and grid[0] > 0.0 and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("levels must be finite, positive and strictly increasing")
     return lambda batch, side: grid
 
 

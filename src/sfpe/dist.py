@@ -21,15 +21,14 @@ the keys ``parse_model`` accepts are the dataclass fields.  ``Constant`` keeps
 its own ``survival`` and ``log_survival``, since a point mass has survival 0
 at c itself, and has no ``elasticity``.
 
-One quantile rule serves every family without a closed-form inverse: the
-default ``_inverse`` bisects log_survival_logx, elementwise, on the log
-scale above support_low.  No runtime path calls it.  The LogPareto, ExpPoly
-and ExpStretched survivals are each the product of two closed-form
-survivals, so these three sample a draw as the minimum of two independent
-closed-form draws from two standard exponentials; ``Pareto`` and
-``Constant`` sample by inverse transform through their closed-form
-``_inverse``.  The smoothing quadrature integrates over log t with the
-closed-form ``elasticity``, so it inverts no survival either.
+Only ``Pareto`` and ``Constant`` have a quantile: they sample by inverse
+transform through their closed-form ``_inverse``, and the default
+``_inverse`` raises NotImplementedError.  The LogPareto, ExpPoly and
+ExpStretched survivals are each the product of two closed-form survivals,
+so these three sample a draw as the minimum of two independent closed-form
+draws from two standard exponentials.  The smoothing quadrature integrates
+over log t with the closed-form ``elasticity``, so no run inverts a
+survival.
 
 One moment rule serves every moment without a closed form: the fixed
 exp-sinh rule of Takahasi and Mori (1974), ``_integral_above``, on
@@ -132,7 +131,9 @@ class TailModel:
             return _scalar(self.log_survival(np.exp(u)))
 
     def quantile(self, u):
-        """t with survival(t) = u, for u in (0, 1]."""
+        """t with survival(t) = u, for u in (0, 1], where the family has a
+        closed-form ``_inverse`` (Pareto and Constant); NotImplementedError
+        for the others."""
         u = np.asarray(u, dtype=float)
         if not np.all((u > 0.0) & (u <= 1.0)):
             if np.any(u <= 0.0):
@@ -141,28 +142,7 @@ class TailModel:
         return _scalar(self._inverse(u))
 
     def _inverse(self, u):
-        """support_low e^d, d >= 0 the root of log_survival_logx(log
-        support_low + d) = log u by bisection, each element on its own: the
-        bracket [0, 1] becomes [h, 2h] while it is still too short, then
-        halves until its midpoint equals an end.  d = 0 at u = 1."""
-        w = np.log(u).reshape(-1)
-        v0 = math.log(self.support_low)
-        lo, hi = np.zeros_like(w), np.ones_like(w)
-        idx = np.flatnonzero(self.log_survival_logx(v0 + hi) > w)
-        while idx.size:
-            lo[idx] = hi[idx]
-            hi[idx] *= 2.0
-            idx = idx[self.log_survival_logx(v0 + hi[idx]) > w[idx]]
-        idx = np.flatnonzero(w < 0.0)
-        while idx.size:
-            a, b = lo[idx], hi[idx]
-            mid = 0.5 * (a + b)
-            live = (mid != a) & (mid != b)
-            idx, mid = idx[live], mid[live]
-            below = self.log_survival_logx(v0 + mid) > w[idx]
-            lo[idx[below]] = mid[below]
-            hi[idx[~below]] = mid[~below]
-        return self.support_low * np.exp(lo).reshape(np.shape(u))
+        raise NotImplementedError(f"{self.family} has no closed-form quantile")
 
     def alpha_moment(self, s: float) -> float:
         """E|X|^s for s >= 0, which is E[X^s] for a positive support; +inf
@@ -176,11 +156,14 @@ class TailModel:
         return t0**s + s * val
 
     def exp_moment(self, s: float) -> float:
-        """E[e^{sX}] for s >= 0; +inf when divergent.  For the exponential
-        families with rate alpha, e^{s t0} + s times the moment rule on
-        s t + log_survival(t) above t0, since e^{st} alone overflows far out."""
+        """E[e^{sX}] for s >= 0; +inf when divergent, as for every s > 0 of a
+        power tail.  For the exponential families with rate alpha, e^{s t0} +
+        s times the moment rule on s t + log_survival(t) above t0, since e^{st}
+        alone overflows far out."""
         if s < 0:
             raise ValueError("s must be >= 0")
+        if self.regularly_varying:
+            return 1.0 if s == 0 else math.inf
         if s > self.alpha:
             return math.inf
         t0 = self.support_low
@@ -196,13 +179,6 @@ class TailModel:
         return f"{self.family}({inner})"
 
 
-def _power_tail_exp_moment(model, s):
-    """E[e^{sX}] of a regularly varying X: 1 at s = 0, +inf for s > 0."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return math.exp(s * model.x0) if s == 0.0 else math.inf
-
-
 @dataclass(frozen=True, repr=False)
 class Pareto(TailModel):
     """S(t) = (x0/t)^alpha for t >= x0."""
@@ -213,7 +189,6 @@ class Pareto(TailModel):
     family = "pareto"
     support_low = property(attrgetter("x0"))
     regularly_varying = True
-    exp_moment = _power_tail_exp_moment
 
     def __post_init__(self):
         if not (_finite(self) and self.alpha > 0 and self.x0 > 0):
@@ -260,7 +235,6 @@ class LogPareto(TailModel):
     family = "log_pareto"
     support_low = property(attrgetter("x0"))
     regularly_varying = True
-    exp_moment = _power_tail_exp_moment
 
     def __post_init__(self):
         if not (_finite(self) and self.alpha > 0 and self.beta > 1 and self.x0 > 0):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import os
 import struct
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -89,6 +90,8 @@ class SimConfig:
             raise ValueError("truncation_eps must be in (0, 1)")
         if self.method not in (CHAIN, PERPETUITY):
             raise ValueError(f"unknown method {self.method!r}")
+        if not math.isfinite(self.x_init):
+            raise ValueError("x_init must be finite")
 
 
 @dataclass
@@ -121,14 +124,14 @@ def _chain_chunk(args):
     n = hi - lo
     rng = _chunk_rng(cfg.seed, chunk_index)
     x = np.full(n, cfg.x_init, dtype=float)
-    for step in range(cfg.burn_in):
-        a, b, c = draw_coeffs(family, n, rng)
-        x = apply_map(family.kind, a, b, c, x)
-        if not np.all(np.isfinite(x)):
-            i = int(np.argmax(~np.isfinite(x)))
-            raise EngineError(
-                f"non-finite state in replica {lo + i} at step {step}"
-            )
+    # an overflow is reported below, as a non-finite state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.burn_in):
+            a, b, c = draw_coeffs(family, n, rng)
+            x = apply_map(family.kind, a, b, c, x)
+            if not np.all(np.isfinite(x)):
+                i = int(np.argmax(~np.isfinite(x)))
+                raise EngineError(f"non-finite state in replica {lo + i} at step {step}")
     return x
 
 
@@ -469,12 +472,11 @@ def load_batch(path) -> SampleBatch:
         version, count = struct.unpack("<IQ", header)
         if version != _VERSION:
             raise EngineError(f"unsupported batch version {version}")
-        body = fh.read(count * 8)
-        if len(body) < count * 8:
-            raise EngineError(
-                f"truncated batch file {path}: {len(body) // 8} of {count} values"
-            )
-        values = np.frombuffer(body, dtype="<f8", count=count)
+        # the size first: a header may claim more values than memory holds
+        have = (os.fstat(fh.fileno()).st_size - 16) // 8
+        if have < count:
+            raise EngineError(f"truncated batch file {path}: {have} of {count} values")
+        values = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
     # a field the sidecar lacks keeps its default; the sample count is the header's
     sidecar = str(path) + ".cfg"
     types = typing.get_type_hints(SimConfig)

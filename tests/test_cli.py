@@ -118,6 +118,9 @@ class TestConfig:
             ("n_samples = 50000\n", "", "missing [sim] n_samples", sampling),
             ("method = chain", "chunk_size = 0", "[sim] chunk_size", sampling),
             ("method = chain", "method = smoothed", "[sim] unknown method", sampling),
+            # a non-finite start is a config error, not a numeric failure at step 0
+            ("method = chain", "method = chain\nx_init = nan", "[sim] x_init", sampling),
+            ("method = chain", "method = chain\nx_init = inf", "[sim] x_init", sampling),
             ("sigma = 0.45", "sigma = 0.45\nside = rght", "[analysis] side", sampling),
             ("alpha = 2.0", "alpha = -1.0", "[analysis] alpha", ("verify", "dist-check")),
             ("alpha = 2.0", "alpha = nan", "[analysis] alpha", ("verify", "dist-check")),
@@ -160,6 +163,8 @@ class TestConfig:
             cases.append((A_LINE, f"a = {model}", "[model] a", ("simulate", "dist-check")))
         for grid in (
             "5,3", "nan,2", "2,inf",
+            # the smoothed tail holds for levels t > 0 only
+            "-1,2,3", "0,1,2",
             "quantile(lo=-0.5, hi_exceed=300, points=20)",
             "quantile(lo=0.99, hi_exceed=300, points=0)",
             "quantile(lo=1.5, hi_exceed=300, points=20)",
@@ -458,6 +463,19 @@ class TestBatchFile:
         for command in ("estimate", "verify"):
             assert main([command, "--config", path]) == EXIT_NUMERIC, command
             assert "unsupported batch version 1" in capsys.readouterr().err
+
+
+    def test_batch_claiming_more_values_than_it_holds(self, config_file, tmp_path, capsys):
+        # the header's count is checked against the file size before any read
+        path = config_file()
+        _simulate(path)
+        batch = tmp_path / "out" / "batch.bin"
+        raw = bytearray(batch.read_bytes())
+        raw[8:16] = (2**40).to_bytes(8, "little")
+        batch.write_bytes(bytes(raw))
+        for command in ("estimate", "verify"):
+            assert main([command, "--config", path]) == EXIT_NUMERIC, command
+            assert f"50000 of {2**40} values" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -62,6 +62,9 @@ class TestSimConfig:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError):
                 SimConfig(n_samples=10, seed=seed)
+        for x_init in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="x_init"):
+                SimConfig(n_samples=10, seed=1, x_init=x_init)
 
     def test_seeds_give_distinct_streams(self):
         with warnings.catch_warnings():
@@ -97,6 +100,13 @@ class TestChain:
         )
         se = batch.values.std(ddof=1) / math.sqrt(batch.values.size)
         assert abs(batch.values.mean() - target) <= 3 * se
+
+    def test_overflow_is_engine_error(self):
+        # A x overflows at the first step; the chain's own check reports it,
+        # with no numpy RuntimeWarning on the way
+        cfg = SimConfig(n_samples=1000, seed=1, x_init=-1e308)
+        with pytest.raises(EngineError, match="non-finite state in replica .* at step 0"):
+            sample_stationary_chain(INDEP_FAMILY, cfg)
 
     def test_determinism_across_worker_counts(self):
         cfg = SimConfig(n_samples=200_000, seed=9)
